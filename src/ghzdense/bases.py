@@ -1,8 +1,8 @@
 """The three named orthonormal bases used by the dense-coding protocols.
 
-* ``bell``: the four maximally entangled two-qubit pairs.
-* ``ghz``: the eight maximally entangled three-qubit triples. Message
-  numbering throughout the package follows this catalog's order.
+* ``bell``: the four Bell pairs, the n=2 catalog of :func:`ghz_family`.
+* ``ghz``: the eight GHZ triples, its n=3 catalog. Message numbering
+  throughout the package follows the catalogs' order.
 * ``phi``: an eight-state basis whose amplitudes all have magnitude
   1/(2*sqrt(2)) and differ only in sign. It is the standard contrast
   case for the reachability analysis: unlike the GHZ catalog it is not
@@ -16,16 +16,11 @@ slip cannot hide below the Gram-test tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
-from .qstate import ATOL, StateVector
-
-# Each family pairs two computational kets; odd catalog index takes the
-# '+' superposition, even takes '-'.
-_BELL_PAIRS = ((0b00, 0b11), (0b01, 0b10))
-_GHZ_PAIRS = ((0b000, 0b111), (0b011, 0b100), (0b010, 0b101), (0b001, 0b110))
+from .qstate import ATOL, IDENTITY, PAULI_X, PAULI_Z, StateVector, UnitaryMatrix, _checked, tensor
 
 _PHI_SIGNS = (
     (+1, +1, +1, +1, +1, +1, +1, +1),
@@ -39,37 +34,9 @@ _PHI_SIGNS = (
 )
 
 
-def _check_index(index: int, count: int, name: str) -> None:
-    if not isinstance(index, (int, np.integer)) or isinstance(index, bool):
-        raise ValueError(f"{name} index must be an integer, got {index!r}")
-    if not 1 <= index <= count:
-        raise ValueError(f"{name} index {index} out of range 1..{count}")
-
-
-def _paired_state(pairs, index: int, n_qubits: int) -> StateVector:
-    first, second = pairs[(index - 1) // 2]
-    amps = np.zeros(1 << n_qubits, dtype=np.complex128)
-    amps[first] = 1.0
-    amps[second] = 1.0 if index % 2 else -1.0
-    return StateVector(amps / np.sqrt(2.0))
-
-
-def bell_state(index: int) -> StateVector:
-    """Bell pair number ``index`` (1..4): (|00>+|11>), (|00>-|11>),
-    (|01>+|10>), (|01>-|10>), each over sqrt(2)."""
-    _check_index(index, 4, "bell")
-    return _paired_state(_BELL_PAIRS, index, 2)
-
-
-def ghz_state(index: int) -> StateVector:
-    """GHZ triple number ``index`` (1..8); index 1 is (|000>+|111>)/sqrt(2)."""
-    _check_index(index, 8, "ghz")
-    return _paired_state(_GHZ_PAIRS, index, 3)
-
-
 def phi_state(index: int) -> StateVector:
     """Sign-pattern basis state number ``index`` (1..8)."""
-    _check_index(index, 8, "phi")
+    index = _checked(index, "phi index", 1, len(_PHI_SIGNS))
     signs = np.array(_PHI_SIGNS[index - 1], dtype=np.complex128)
     return StateVector(signs / np.sqrt(8.0))
 
@@ -96,18 +63,89 @@ class BasisCatalog:
         return self.states[0].n_qubits
 
     def state(self, index: int) -> StateVector:
-        _check_index(index, len(self.states), self.name)
-        return self.states[index - 1]
+        return self.states[_checked(index, f"{self.name} index", 1, len(self.states)) - 1]
 
 
-@lru_cache(maxsize=None)
+@dataclass(frozen=True, eq=False)
+class Protocol:
+    """The n-qubit GHZ dense-coding protocol of :func:`ghz_family`. Message m
+    applies ``encoders[m-1]`` to the ``transit`` qubits of catalog state 1,
+    giving state m; ``network`` then turns it into the bits that
+    ``decode_table`` maps back to m."""
+
+    name: str
+    catalog: BasisCatalog
+    transit: tuple[int, ...]
+    encoders: tuple[UnitaryMatrix, ...]
+    network: tuple[tuple[str, tuple[int, ...]], ...]
+    decode_table: dict[str, int]
+
+
+_FACTORS = {"I": IDENTITY, "X": PAULI_X, "Z": PAULI_Z, "ZX": PAULI_Z @ PAULI_X, "XZ": PAULI_X @ PAULI_Z}
+
+# Per family size: protocol name, basis name, and each message's encoder
+# as tensor factors over the transit qubits, qubit 1 first. The tables
+# are explicit because n=3 message 6 is I (x) XZ, where the rule behind
+# the n=2 table (X onto the ket tail, then Z on qubit 1 for '-') gives
+# Z (x) X.
+_LAYOUTS = {
+    2: ("bell2", "bell", ("I", "Z", "X", "ZX")),
+    3: ("ghz3", "ghz", ("I I", "Z I", "X I", "ZX I", "I X", "I XZ", "X X", "ZX X")),
+}
+
+
+def _build_family(n: int) -> Protocol:
+    name, basis, factors = _LAYOUTS[n]
+    half = 1 << (n - 1)
+    states, decode_table = [], {}
+    for index in range(1, 2 * half + 1):
+        # Pair k joins 0 followed by (-k) mod 2^(n-1) with its complement;
+        # odd indices take the '+' superposition, even ones the '-'.
+        first = -((index - 1) // 2) % half
+        minus = index % 2 == 0
+        amps = np.zeros(2 * half, dtype=np.complex128)
+        amps[first] = 1.0
+        amps[first ^ (2 * half - 1)] = -1.0 if minus else 1.0
+        states.append(StateVector(amps / np.sqrt(2.0)))
+        # The network reads the sign into qubit 1 and leaves the tail of
+        # the first ket on the others.
+        decode_table[f"{int(minus)}{first:0{n - 1}b}"] = index
+    return Protocol(
+        name=name,
+        catalog=BasisCatalog(basis, tuple(states)),
+        transit=tuple(range(1, n)),
+        encoders=tuple(reduce(tensor, (_FACTORS[f] for f in ops.split())) for ops in factors),
+        network=tuple(("CNOT", (1, t)) for t in range(n, 1, -1)) + (("H", (1,)),),
+        decode_table=decode_table,
+    )
+
+
+_FAMILIES = {n: _build_family(n) for n in _LAYOUTS}
+
+
+def ghz_family(n: int) -> Protocol:
+    """The n-qubit GHZ dense-coding protocol: n=2 is the Bell protocol
+    ``bell2``, n=3 the GHZ-triple protocol ``ghz3``."""
+    return _FAMILIES[_checked(n, "GHZ family size n", 2, 3)]
+
+
+def bell_state(index: int) -> StateVector:
+    """Bell pair number ``index`` (1..4): (|00>+|11>), (|00>-|11>),
+    (|01>+|10>), (|01>-|10>), each over sqrt(2)."""
+    return bell_catalog().state(index)
+
+
+def ghz_state(index: int) -> StateVector:
+    """GHZ triple number ``index`` (1..8); index 1 is (|000>+|111>)/sqrt(2)."""
+    return ghz_catalog().state(index)
+
+
 def bell_catalog() -> BasisCatalog:
-    return BasisCatalog("bell", tuple(bell_state(i) for i in range(1, 5)))
+    return _FAMILIES[2].catalog
 
 
-@lru_cache(maxsize=None)
 def ghz_catalog() -> BasisCatalog:
-    return BasisCatalog("ghz", tuple(ghz_state(i) for i in range(1, 9)))
+    return _FAMILIES[3].catalog
 
 
 @lru_cache(maxsize=None)

@@ -11,15 +11,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from collections.abc import Sequence
 
-from .bases import catalog_by_name, verify_orthonormal
+from .bases import catalog_by_name, ghz_catalog, verify_orthonormal
 from .encoding import encode, reachability_matrix, reachability_oracle_matrix
-from .ghzmeasure import GATE_SEQUENCE, disentangle, outcome_for_index
-from .protocol import ChannelConfig, capacity_summary, run_trials
-from .qstate import ATOL, dump_state, load_state
+from .ghzmeasure import GATE_SEQUENCE, OUTCOME_TABLE, disentangle
+from .protocol import PROTOCOL_NAMES, ChannelConfig, _family, capacity_summary, run_trials
+from .qstate import ATOL, _checked, dump_state, load_state
 
 _INDEX_PREFIX = {"ghz": "psi", "phi": "phi", "bell": "bell"}
 
@@ -56,10 +56,7 @@ def _parse_state_index(text: str, basis: str, count: int) -> int:
         raise ValueError(f"index prefix {head!r} does not name a {basis} state; use e.g. {expected}3 or 3")
     if not digits:
         raise ValueError(f"malformed state index {text!r}")
-    index = int(digits)
-    if not 1 <= index <= count:
-        raise ValueError(f"index {index} out of range 1..{count}")
-    return index
+    return _checked(int(digits), "index", 1, count)
 
 
 def _cmd_bases_verify(args) -> CommandResult:
@@ -90,7 +87,7 @@ def _cmd_bases_dump(args) -> CommandResult:
 
 
 def _cmd_encode(args) -> CommandResult:
-    message = _parse_state_index(args.message, "ghz", 8)
+    message = _parse_state_index(args.message, "ghz", len(ghz_catalog()))
     return CommandResult(0, dump_state(encode(message)).rstrip("\n"))
 
 
@@ -141,8 +138,8 @@ def _cmd_network_show(args) -> CommandResult:
         else:
             lines.append(f"  {name} qubit={qubits[0]}")
     lines.append("truth table (ghz index -> measured bits):")
-    for index in range(1, 9):
-        lines.append(f"  psi{index} -> {outcome_for_index(index)}")
+    for index, outcome in OUTCOME_TABLE.items():
+        lines.append(f"  psi{index} -> {outcome}")
     return CommandResult(0, "\n".join(lines))
 
 
@@ -156,9 +153,8 @@ def _cmd_roundtrip(args) -> CommandResult:
     channel = ChannelConfig(pauli_error_prob=args.noise, rng_seed=args.seed)
     fixed = None
     if args.message is not None:
-        count = 8 if args.protocol == "ghz3" else 4
-        basis = "ghz" if args.protocol == "ghz3" else "bell"
-        fixed = _parse_state_index(args.message, basis, count)
+        catalog = _family(args.protocol).catalog
+        fixed = _parse_state_index(args.message, catalog.name, len(catalog))
     report = run_trials(args.protocol, args.trials, channel, fixed_message=fixed)
     if args.json:
         return CommandResult(0, json.dumps(report.to_json_dict(), indent=2))
@@ -180,17 +176,7 @@ def _cmd_roundtrip(args) -> CommandResult:
 def _cmd_capacity(args) -> CommandResult:
     rows = capacity_summary()
     if args.json:
-        payload = [
-            {
-                "protocol": r.protocol,
-                "message_count": r.message_count,
-                "qubits_transmitted": r.qubits_transmitted,
-                "total_bits": r.total_bits,
-                "bits_per_transmitted_qubit": r.bits_per_transmitted_qubit,
-            }
-            for r in rows
-        ]
-        return CommandResult(0, json.dumps(payload, indent=2))
+        return CommandResult(0, json.dumps([asdict(r) for r in rows], indent=2))
     lines = ["protocol  messages  qubits_transmitted  total_bits  bits_per_transmitted_qubit"]
     for r in rows:
         lines.append(
@@ -237,7 +223,7 @@ def _build_parser() -> _Parser:
     apply_cmd.set_defaults(handler=_cmd_network_apply)
 
     rt = sub.add_parser("roundtrip", help="simulate full protocol round trips")
-    rt.add_argument("--protocol", required=True, choices=("ghz3", "bell2"))
+    rt.add_argument("--protocol", required=True, choices=PROTOCOL_NAMES)
     rt.add_argument("--trials", type=int, default=1000)
     rt.add_argument("--seed", type=int, default=0)
     rt.add_argument("--noise", type=float, default=0.0, help="per-transit-qubit Pauli error probability")

@@ -25,41 +25,17 @@ unitaries u is the nuclear norm of Y X^H, reported as the obstruction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .bases import BasisCatalog, bell_state, ghz_state
-from .qstate import (
-    IDENTITY,
-    PAULI_X,
-    PAULI_Z,
-    StateVector,
-    UnitaryMatrix,
-    apply_on_subset,
-    fidelity_up_to_phase,
-)
+from .bases import BasisCatalog, Protocol, ghz_family
+from .qstate import StateVector, UnitaryMatrix, _checked, apply_on_subset, fidelity_up_to_phase
 
 REACH_ATOL = 1e-10  # Gram comparisons accumulate a few products
 _WITNESS_MIN_FIDELITY = 1.0 - 1e-9
 _ORACLE_BATCH = 50_000
 
-# The eight message operations on qubits (1, 2), rows over the two-qubit
-# basis |00>, |01>, |10>, |11>. All entries are 0 or +-1.
-_ENCODING_PATTERNS = (
-    ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
-    ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, -1, 0), (0, 0, 0, -1)),
-    ((0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0)),
-    ((0, 0, 1, 0), (0, 0, 0, 1), (-1, 0, 0, 0), (0, -1, 0, 0)),
-    ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0)),
-    ((0, -1, 0, 0), (1, 0, 0, 0), (0, 0, 0, -1), (0, 0, 1, 0)),
-    ((0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0)),
-    ((0, 0, 0, 1), (0, 0, 1, 0), (0, -1, 0, 0), (-1, 0, 0, 0)),
-)
-
-# Single-qubit encoders for the two-qubit protocol: identity, phase flip,
-# bit flip, and the combined flip |0> -> -|1>, |1> -> |0>.
-_BELL_ENCODERS = (IDENTITY, PAULI_Z, PAULI_X, UnitaryMatrix([[0, 1], [-1, 0]]))
+_GHZ, _BELL = ghz_family(3), ghz_family(2)
 
 
 @dataclass(frozen=True)
@@ -71,13 +47,20 @@ class EncodingOp:
     acts_on: tuple[int, int] = (1, 2)
 
 
-@lru_cache(maxsize=None)
 def encoding_op(message: int) -> EncodingOp:
     """Operation taking the first GHZ state to GHZ state ``message`` (1..8)."""
-    if not isinstance(message, int) or not 1 <= message <= 8:
-        raise ValueError(f"message index {message!r} out of range 1..8")
-    matrix = UnitaryMatrix(np.array(_ENCODING_PATTERNS[message - 1], dtype=np.complex128))
-    return EncodingOp(message_index=message, matrix=matrix)
+    message = _checked(message, "message index", 1, len(_GHZ.encoders))
+    return EncodingOp(message_index=message, matrix=_GHZ.encoders[message - 1], acts_on=_GHZ.transit)
+
+
+def _encode(family: Protocol, message: int, shared: StateVector | None = None) -> StateVector:
+    message = _checked(message, "message index", 1, len(family.encoders))
+    n = family.catalog.n_qubits
+    if shared is None:
+        shared = family.catalog.state(1)
+    elif shared.n_qubits != n:
+        raise ValueError(f"shared state must have {n} qubits, got {shared.n_qubits}")
+    return apply_on_subset(shared, family.encoders[message - 1], family.transit)
 
 
 def encode(message: int, shared: StateVector | None = None) -> StateVector:
@@ -86,24 +69,13 @@ def encode(message: int, shared: StateVector | None = None) -> StateVector:
     ``shared`` defaults to the first GHZ state, the protocol's standing
     assumption; any other three-qubit state is accepted for general use.
     """
-    op = encoding_op(message)
-    if shared is None:
-        shared = ghz_state(1)
-    elif shared.n_qubits != 3:
-        raise ValueError(f"shared state must have 3 qubits, got {shared.n_qubits}")
-    return apply_on_subset(shared, op.matrix, op.acts_on)
+    return _encode(_GHZ, message, shared)
 
 
 def bell_encode(message: int, shared: StateVector | None = None) -> StateVector:
     """Two-qubit-protocol encoding: one single-qubit operation on qubit 1
     turns the first Bell pair into Bell pair ``message`` (1..4)."""
-    if not isinstance(message, int) or not 1 <= message <= 4:
-        raise ValueError(f"message index {message!r} out of range 1..4")
-    if shared is None:
-        shared = bell_state(1)
-    elif shared.n_qubits != 2:
-        raise ValueError(f"shared state must have 2 qubits, got {shared.n_qubits}")
-    return apply_on_subset(shared, _BELL_ENCODERS[message - 1], (1,))
+    return _encode(_BELL, message, shared)
 
 
 @dataclass(frozen=True)
@@ -122,14 +94,16 @@ class ReachabilityVerdict:
     target_index: int | None = None
 
 
-def _cofactors(state: StateVector, qubit: int) -> np.ndarray:
-    """2 x 2^(n-1) matrix whose rows are the (unnormalized) co-factors of
-    the |0> and |1> branches of ``qubit``."""
-    n = state.n_qubits
-    if not 1 <= qubit <= n:
-        raise ValueError(f"qubit {qubit} out of range 1..{n}")
-    psi = state.amplitudes.reshape((2,) * n)
-    return np.moveaxis(psi, qubit - 1, 0).reshape(2, -1)
+def _cofactors(source: StateVector, target: StateVector, qubit: int) -> tuple[np.ndarray, np.ndarray]:
+    """For each state, the 2 x 2^(n-1) matrix whose rows are the
+    (unnormalized) co-factors of the |0> and |1> branches of ``qubit``."""
+    n = source.n_qubits
+    if target.n_qubits != n:
+        raise ValueError(f"qubit counts differ: {n} vs {target.n_qubits}")
+    qubit = _checked(qubit, "qubit", 1, n)
+    return tuple(
+        np.moveaxis(s.amplitudes.reshape((2,) * n), qubit - 1, 0).reshape(2, -1) for s in (source, target)
+    )
 
 
 def reachable_by_single_qubit(
@@ -137,12 +111,7 @@ def reachable_by_single_qubit(
 ) -> ReachabilityVerdict:
     """Decide whether some unitary on ``qubit`` alone maps ``source`` to
     ``target`` up to global phase, exactly (no sampling involved)."""
-    if source.n_qubits != target.n_qubits:
-        raise ValueError(
-            f"qubit counts differ: {source.n_qubits} vs {target.n_qubits}"
-        )
-    x = _cofactors(source, qubit)
-    y = _cofactors(target, qubit)
+    x, y = _cofactors(source, target, qubit)
     gram_gap = float(np.max(np.abs(x.conj().T @ x - y.conj().T @ y)))
     cross = y @ x.conj().T
     w, sing, vh = np.linalg.svd(cross)
@@ -180,14 +149,8 @@ def reachability_oracle(
     ``rng_seed`` may be anything ``numpy.random.default_rng`` accepts.
     Results are a deterministic function of the arguments.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    if source.n_qubits != target.n_qubits:
-        raise ValueError(
-            f"qubit counts differ: {source.n_qubits} vs {target.n_qubits}"
-        )
-    x = _cofactors(source, qubit)
-    y = _cofactors(target, qubit)
+    samples = _checked(samples, "samples", 1)
+    x, y = _cofactors(source, target, qubit)
     rng = np.random.default_rng(rng_seed)
     best = 0.0
     remaining = samples
@@ -220,6 +183,7 @@ def reachability_oracle_matrix(
     Each pair gets its own stream derived from (rng_seed, i, j), so the
     matrix does not depend on evaluation order.
     """
+    rng_seed = _checked(rng_seed, "rng_seed", 0)
     k = len(catalog)
     out = np.zeros((k, k))
     for i in range(1, k + 1):

@@ -10,6 +10,15 @@ The two CNOTs share the control and have disjoint targets, so they
 commute; their listed order is a convention, not a requirement. After
 the network, three ordinary single-qubit readouts plus a classical table
 lookup recover the GHZ index.
+
+Network and table are ``bases.ghz_family(3)``'s; the n=2 case, CNOT(1,2)
+then H(1), is the Bell protocol's. One rule decodes both: the sign bit (0
+for '+'), then the tail of the first ket. Readouts of messages 1, 2, ...::
+
+    ghz3   000 100 011 111 010 110 001 101
+    bell2  00  10  01  11
+
+Indices may be Python or numpy integers; anything else is a ValueError.
 """
 
 from __future__ import annotations
@@ -18,47 +27,37 @@ from functools import cache
 
 import numpy as np
 
-from .qstate import (
-    CNOT,
-    HADAMARD,
-    StateVector,
-    UnitaryMatrix,
-    apply_on_subset,
-    embed_on_subset,
-    measure_computational,
-)
+from .bases import Protocol, ghz_family
+from .qstate import CNOT, HADAMARD, StateVector, UnitaryMatrix, _checked, apply_on_subset
+from .qstate import embed_on_subset, measure_computational
 
-GATE_SEQUENCE: tuple[tuple[str, tuple[int, ...]], ...] = (
-    ("CNOT", (1, 3)),
-    ("CNOT", (1, 2)),
-    ("H", (1,)),
-)
-
+_GHZ = ghz_family(3)
 _GATES = {"CNOT": CNOT, "H": HADAMARD}
 
+GATE_SEQUENCE = _GHZ.network
 # Measurement outcome (bits of qubits 1, 2, 3) -> GHZ index. This is the
 # contract; tests re-derive it from the network itself.
-DECODE_TABLE = {
-    "000": 1,
-    "100": 2,
-    "011": 3,
-    "111": 4,
-    "010": 5,
-    "110": 6,
-    "001": 7,
-    "101": 8,
-}
-
+DECODE_TABLE = _GHZ.decode_table
 OUTCOME_TABLE = {index: outcome for outcome, index in DECODE_TABLE.items()}
+
+
+def _run_network(family: Protocol, state: StateVector) -> StateVector:
+    n = family.catalog.n_qubits
+    if state.n_qubits != n:
+        raise ValueError(f"network expects {n} qubits, got {state.n_qubits}")
+    for name, qubits in family.network:
+        state = apply_on_subset(state, _GATES[name], qubits)
+    return state
+
+
+def _read_out(family: Protocol, disentangled: StateVector, rng_seed) -> tuple[int, float]:
+    outcome, probability = measure_computational(disentangled, rng_seed)
+    return family.decode_table[outcome], probability
 
 
 def disentangle(state: StateVector) -> StateVector:
     """Run the gate sequence; GHZ basis states come out as computational kets."""
-    if state.n_qubits != 3:
-        raise ValueError(f"network expects 3 qubits, got {state.n_qubits}")
-    for name, qubits in GATE_SEQUENCE:
-        state = apply_on_subset(state, _GATES[name], qubits)
-    return state
+    return _run_network(_GHZ, state)
 
 
 @cache
@@ -80,9 +79,7 @@ def decode(outcome: str) -> int:
 def outcome_for_index(index: int) -> str:
     """Bit string the network produces for GHZ state ``index`` (the
     inverse of :func:`decode`); this is the classical label of a message."""
-    if not isinstance(index, int) or not 1 <= index <= 8:
-        raise ValueError(f"index {index!r} out of range 1..8")
-    return OUTCOME_TABLE[index]
+    return OUTCOME_TABLE[_checked(index, "index", 1, len(OUTCOME_TABLE))]
 
 
 def ghz_measure(state: StateVector, rng_seed) -> tuple[int, float]:
@@ -93,11 +90,10 @@ def ghz_measure(state: StateVector, rng_seed) -> tuple[int, float]:
     the network is unitary. ``rng_seed`` is an integer seed or a numpy
     Generator, as in :func:`ghzdense.qstate.measure_computational`.
     """
-    outcome, probability = measure_computational(disentangle(state), rng_seed)
-    return decode(outcome), probability
+    return _read_out(_GHZ, disentangle(state), rng_seed)
 
 
 def index_distribution(state: StateVector) -> np.ndarray:
     """Probability of each GHZ index (entry i-1 for index i), no sampling."""
     probs = disentangle(state).probabilities()
-    return np.array([probs[int(OUTCOME_TABLE[i], 2)] for i in range(1, 9)])
+    return np.array([probs[int(outcome, 2)] for outcome in OUTCOME_TABLE.values()])

@@ -14,41 +14,47 @@ transit are exposed; the receiver's qubit is ideal. Trajectories stay
 pure states. Per-trial randomness derives from (seed, trial index), so
 batch results do not depend on evaluation order.
 
-The classical label of message m is the measurement outcome its GHZ
-state produces, ``ghzmeasure.outcome_for_index(m)`` (for ``bell2`` the
-analogous two-bit table below).
+Both are ``bases.ghz_family(n)``, n=3 and n=2. The label of message m is
+the readout its state gives: the sign bit (0 for '+'), then the tail of
+the pair's first ket. Labels of messages 1, 2, ...::
+
+    ghz3   000 100 011 111 010 110 001 101
+    bell2  00  10  01  11
+
+Integers may be Python or numpy ints and the error probability any real
+in [0, 1]; bools and other types, like every rejected input, raise
+ValueError (exit code 2 on the command line).
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .encoding import bell_encode, encode
-from .ghzmeasure import ghz_measure
-from .qstate import (
-    CNOT,
-    HADAMARD,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
-    StateVector,
-    apply_on_subset,
-    measure_computational,
-)
+from .bases import Protocol, ghz_family
+from .encoding import _encode
+from .ghzmeasure import _read_out, _run_network, ghz_measure
+from .qstate import PAULI_X, PAULI_Y, PAULI_Z, StateVector, _checked, apply_on_subset
 
-PROTOCOL_NAMES = ("ghz3", "bell2")
+_BELL = ghz_family(2)
+_BY_NAME = {family.name: family for family in (ghz_family(3), _BELL)}
+PROTOCOL_NAMES = tuple(_BY_NAME)
 
 _PAULIS = {"X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
-_TRANSMITTED = {"ghz3": (1, 2), "bell2": (1,)}
-_MESSAGE_COUNT = {"ghz3": 8, "bell2": 4}
 
 # Outcome of the two-qubit disentangler (CNOT(1,2) then H(1)) -> message.
-BELL_DECODE_TABLE = {"00": 1, "10": 2, "01": 3, "11": 4}
+BELL_DECODE_TABLE = _BELL.decode_table
+
+
+def _family(protocol: str) -> Protocol:
+    try:
+        return _BY_NAME[protocol]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown protocol {protocol!r}; expected one of {PROTOCOL_NAMES}") from None
 
 
 @dataclass(frozen=True)
@@ -67,19 +73,16 @@ class ChannelConfig:
     forced_errors: tuple[tuple[int, str], ...] | None = None
 
     def __post_init__(self) -> None:
-        p = self.pauli_error_prob
-        if not isinstance(p, (int, float)) or not 0.0 <= float(p) <= 1.0:
-            raise ValueError(f"pauli_error_prob must lie in [0, 1], got {p!r}")
-        object.__setattr__(self, "pauli_error_prob", float(p))
+        p = _checked(self.pauli_error_prob, "pauli_error_prob", 0, 1, kind=float)
+        object.__setattr__(self, "pauli_error_prob", p)
+        object.__setattr__(self, "rng_seed", _checked(self.rng_seed, "rng_seed", 0))
         if self.forced_errors is not None:
             raw = self.forced_errors
             items = raw.items() if isinstance(raw, Mapping) else raw
-            pairs = tuple((int(q), str(g).upper()) for q, g in items)
-            for q, g in pairs:
+            pairs = tuple((_checked(q, "qubit position", 1), str(g).upper()) for q, g in items)
+            for _, g in pairs:
                 if g not in _PAULIS:
                     raise ValueError(f"forced error {g!r} is not one of X, Y, Z")
-                if q < 1:
-                    raise ValueError(f"qubit position {q} must be >= 1")
             if len({q for q, _ in pairs}) != len(pairs):
                 raise ValueError("at most one forced error per qubit")
             object.__setattr__(self, "forced_errors", pairs)
@@ -98,15 +101,7 @@ class TrialReport:
     seed: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "protocol": self.protocol,
-            "trials": self.trials,
-            "successes": self.successes,
-            "success_rate": self.success_rate,
-            "messages_histogram": list(self.messages_histogram),
-            "bits_per_transmitted_qubit": self.bits_per_transmitted_qubit,
-            "seed": self.seed,
-        }
+        return {**asdict(self), "messages_histogram": list(self.messages_histogram)}
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> TrialReport:
@@ -135,22 +130,18 @@ class CapacityRow:
 def capacity_summary() -> tuple[CapacityRow, ...]:
     """Message counts and bits per transmitted qubit for both protocols."""
     rows = []
-    for name in PROTOCOL_NAMES:
-        k = _MESSAGE_COUNT[name]
-        q = len(_TRANSMITTED[name])
-        rows.append(CapacityRow(name, k, q, math.log2(k), math.log2(k) / q))
+    for family in _BY_NAME.values():
+        k, q = len(family.catalog), len(family.transit)
+        rows.append(CapacityRow(family.name, k, q, math.log2(k), math.log2(k) / q))
     return tuple(rows)
 
 
 def bell_measure(state: StateVector, rng_seed) -> tuple[int, float]:
     """Measure a two-qubit state in the Bell basis: CNOT(1,2), H(1), then
-    computational readout decoded through ``BELL_DECODE_TABLE``."""
-    if state.n_qubits != 2:
-        raise ValueError(f"expected 2 qubits, got {state.n_qubits}")
-    state = apply_on_subset(state, CNOT, (1, 2))
-    state = apply_on_subset(state, HADAMARD, (1,))
-    outcome, probability = measure_computational(state, rng_seed)
-    return BELL_DECODE_TABLE[outcome], probability
+    computational readout decoded through ``BELL_DECODE_TABLE``.
+
+    This is :func:`ghzdense.ghzmeasure.ghz_measure` for the n=2 family."""
+    return _read_out(_BELL, _run_network(_BELL, state), rng_seed)
 
 
 def _apply_channel(
@@ -180,32 +171,36 @@ def _apply_channel(
 # Encoding a given message onto the default shared state is pure, so the
 # hot trial loop reuses one immutable result per message.
 @lru_cache(maxsize=None)
-def _encoded(protocol: str, message: int) -> StateVector:
-    return encode(message) if protocol == "ghz3" else bell_encode(message)
+def _encoded(family: Protocol, message: int) -> StateVector:
+    return _encode(family, message)
 
 
 def _roundtrip(
-    protocol: str, message: int, channel: ChannelConfig, rng: np.random.Generator
+    family: Protocol, message: int, channel: ChannelConfig, rng: np.random.Generator
 ) -> tuple[int, bool]:
-    sent = _encoded(protocol, message)
-    received = _apply_channel(sent, _TRANSMITTED[protocol], channel, rng)
-    if protocol == "ghz3":
-        decoded, _ = ghz_measure(received, rng)
-    else:
-        decoded, _ = bell_measure(received, rng)
+    sent = _encoded(family, message)
+    received = _apply_channel(sent, family.transit, channel, rng)
+    # Called through the module-level names, so whatever is bound to them
+    # (such as the span wrappers of perfbench/tracer.py) runs.
+    measure = bell_measure if family is _BELL else ghz_measure
+    decoded, _ = measure(received, rng)
     return decoded, decoded == message
+
+
+def _one_exchange(protocol: str, message: int, channel: ChannelConfig) -> tuple[int, bool]:
+    family = _family(protocol)
+    message = _checked(message, "message index", 1, len(family.catalog))
+    return _roundtrip(family, message, channel, np.random.default_rng(channel.rng_seed))
 
 
 def roundtrip_ghz(message: int, channel: ChannelConfig = ChannelConfig()) -> tuple[int, bool]:
     """One full ghz3 exchange. Returns (decoded message, success flag)."""
-    rng = np.random.default_rng(channel.rng_seed)
-    return _roundtrip("ghz3", message, channel, rng)
+    return _one_exchange("ghz3", message, channel)
 
 
 def roundtrip_bell(message: int, channel: ChannelConfig = ChannelConfig()) -> tuple[int, bool]:
     """One full bell2 exchange. Returns (decoded message, success flag)."""
-    rng = np.random.default_rng(channel.rng_seed)
-    return _roundtrip("bell2", message, channel, rng)
+    return _one_exchange("bell2", message, channel)
 
 
 def run_trials(
@@ -221,19 +216,17 @@ def run_trials(
     randomness comes from its own stream spawned off ``channel.rng_seed``,
     so reports are reproducible and order-independent.
     """
-    if protocol not in _MESSAGE_COUNT:
-        raise ValueError(f"unknown protocol {protocol!r}; expected one of {PROTOCOL_NAMES}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    k = _MESSAGE_COUNT[protocol]
-    if fixed_message is not None and not 1 <= fixed_message <= k:
-        raise ValueError(f"fixed message {fixed_message} out of range 1..{k}")
+    family = _family(protocol)
+    trials = _checked(trials, "trials", 1)
+    k = len(family.catalog)
+    if fixed_message is not None:
+        fixed_message = _checked(fixed_message, "fixed message", 1, k)
     histogram = [0] * k
     successes = 0
     for child in np.random.SeedSequence(channel.rng_seed).spawn(trials):
         rng = np.random.default_rng(child)
         message = fixed_message if fixed_message is not None else 1 + int(rng.integers(k))
-        _, ok = _roundtrip(protocol, message, channel, rng)
+        _, ok = _roundtrip(family, message, channel, rng)
         histogram[message - 1] += 1
         successes += ok
     return TrialReport(
@@ -242,6 +235,6 @@ def run_trials(
         successes=successes,
         success_rate=successes / trials,
         messages_histogram=tuple(histogram),
-        bits_per_transmitted_qubit=math.log2(k) / len(_TRANSMITTED[protocol]),
+        bits_per_transmitted_qubit=math.log2(k) / len(family.transit),
         seed=channel.rng_seed,
     )

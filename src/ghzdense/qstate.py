@@ -21,6 +21,22 @@ ATOL = 1e-12
 MAX_QUBITS = 20  # dense amplitude arrays; 2**20 is the supported ceiling
 
 
+def _checked(value, name: str, low, high=None, kind=int):
+    """``value`` as a plain ``kind`` (int or float) in [low, high], the input
+    check of every entry point: Python and numpy numbers pass, bools and
+    other types do not, and every rejection is a ``ValueError``."""
+    if type(value) is not kind:  # plain ints and floats skip the type checks
+        kinds = (int, np.integer) if kind is int else (int, float, np.integer, np.floating)
+        if isinstance(value, (bool, np.bool_)) or not isinstance(value, kinds):
+            what = "an integer" if kind is int else "a real number"
+            raise ValueError(f"{name} must be {what}, got {value!r}")
+        value = kind(value)
+    if not (low <= value if high is None else low <= value <= high):
+        bound = f"be >= {low}" if high is None else f"lie in [{low}, {high}]"
+        raise ValueError(f"{name} must {bound}, got {value!r}")
+    return value
+
+
 def _as_finite_complex(values, name: str) -> np.ndarray:
     arr = np.array(values, dtype=np.complex128)
     if not np.all(np.isfinite(arr)):
@@ -170,14 +186,11 @@ def tensor(u: UnitaryMatrix, v: UnitaryMatrix) -> UnitaryMatrix:
 
 
 def _checked_axes(qubits: Sequence[int], n_qubits: int) -> tuple[int, ...]:
-    positions = tuple(int(q) for q in qubits)
+    positions = tuple(_checked(q, "qubit", 1, n_qubits) for q in qubits)
     if not positions:
         raise ValueError("qubit subset is empty")
     if len(set(positions)) != len(positions):
         raise ValueError(f"qubit positions must be distinct, got {positions}")
-    for q in positions:
-        if not 1 <= q <= n_qubits:
-            raise ValueError(f"qubit {q} out of range 1..{n_qubits}")
     return tuple(q - 1 for q in positions)
 
 
@@ -266,8 +279,10 @@ def dump_state(state: StateVector) -> str:
 def load_state(text: str) -> StateVector:
     """Parse the ``dump_state`` text format.
 
-    Amplitudes written with reduced precision are renormalized; a norm
-    more than 1e-9 away from 1 is rejected as malformed instead.
+    Amplitudes whose norm is within ``ATOL`` of 1 are kept as written, so
+    ``load_state(dump_state(s))`` reproduces ``s`` bit for bit. Reduced
+    precision is renormalized; a norm more than 1e-9 away from 1 is
+    rejected as malformed instead.
     """
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines:
@@ -300,4 +315,4 @@ def load_state(text: str) -> StateVector:
     norm = float(np.linalg.norm(amps))
     if abs(norm - 1.0) > 1e-9:
         raise ValueError(f"state norm {norm} too far from 1")
-    return StateVector(amps / norm)
+    return StateVector(amps if abs(norm - 1.0) <= ATOL else amps / norm)

@@ -4,6 +4,9 @@
 builds the full operator by conjugating a plain Kronecker product with
 an explicit basis-permutation matrix, touching none of the package's
 axis-moving code.
+
+Property tests run under a derandomized hypothesis profile, so their
+examples, like every other sample in the suite, are the same on every run.
 """
 
 from __future__ import annotations
@@ -11,6 +14,14 @@ from __future__ import annotations
 import numpy as np
 
 from ghzdense.qstate import StateVector
+
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves
+    pass
+else:
+    settings.register_profile("ghzdense", derandomize=True, database=None, deadline=None)
+    settings.load_profile("ghzdense")
 
 
 def kron_embed(gate: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:

@@ -1,0 +1,113 @@
+"""Property tests: the GHZ-family spec against the hand-written layout it
+replaced, and algebraic invariants over generated inputs."""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given
+from hypothesis import strategies as st
+from numpy.testing import assert_allclose
+
+from conftest import kron_embed, random_state
+from ghzdense.bases import catalog_by_name, ghz_family
+from ghzdense.encoding import reachability_matrix
+from ghzdense.qstate import StateVector, apply_on_subset, dump_state, haar_random_unitary, load_state
+
+# The layout as it was written out by hand before ghz_family generated it.
+PAIRS = {
+    2: ((0b00, 0b11), (0b01, 0b10)),
+    3: ((0b000, 0b111), (0b011, 0b100), (0b010, 0b101), (0b001, 0b110)),
+}
+ENCODERS = {
+    2: (
+        ((1, 0), (0, 1)),
+        ((1, 0), (0, -1)),
+        ((0, 1), (1, 0)),
+        ((0, 1), (-1, 0)),
+    ),
+    3: (
+        ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
+        ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, -1, 0), (0, 0, 0, -1)),
+        ((0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0)),
+        ((0, 0, 1, 0), (0, 0, 0, 1), (-1, 0, 0, 0), (0, -1, 0, 0)),
+        ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0)),
+        ((0, -1, 0, 0), (1, 0, 0, 0), (0, 0, 0, -1), (0, 0, 1, 0)),
+        ((0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0)),
+        ((0, 0, 0, 1), (0, 0, 1, 0), (0, -1, 0, 0), (-1, 0, 0, 0)),
+    ),
+}
+DECODE_TABLES = {
+    2: {"00": 1, "10": 2, "01": 3, "11": 4},
+    3: {"000": 1, "100": 2, "011": 3, "111": 4, "010": 5, "110": 6, "001": 7, "101": 8},
+}
+NETWORKS = {
+    2: (("CNOT", (1, 2)), ("H", (1,))),
+    3: (("CNOT", (1, 3)), ("CNOT", (1, 2)), ("H", (1,))),
+}
+NAMES = {2: ("bell2", "bell"), 3: ("ghz3", "ghz")}
+
+
+def _paired_amplitudes(n: int, index: int) -> np.ndarray:
+    first, second = PAIRS[n][(index - 1) // 2]
+    amps = np.zeros(1 << n, dtype=np.complex128)
+    amps[first] = 1.0
+    amps[second] = 1.0 if index % 2 else -1.0
+    return amps / np.sqrt(2.0)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_family_reproduces_hand_written_layout(n):
+    family = ghz_family(n)
+    assert (family.name, family.catalog.name) == NAMES[n]
+    assert family.transit == tuple(range(1, n))
+    assert family.network == NETWORKS[n]
+    assert list(family.decode_table.items()) == list(DECODE_TABLES[n].items())
+    assert len(family.catalog) == len(family.encoders) == 1 << n
+    for index, (state, encoder) in enumerate(zip(family.catalog.states, family.encoders), start=1):
+        assert np.array_equal(state.amplitudes, _paired_amplitudes(n, index))
+        assert np.array_equal(encoder.entries, np.array(ENCODERS[n][index - 1], dtype=np.complex128))
+
+
+@pytest.mark.parametrize("n", [0, 1, 4, True, 2.0, "3"])
+def test_family_size_outside_2_3_rejected(n):
+    with pytest.raises(ValueError):
+        ghz_family(n)
+
+
+@st.composite
+def subsets(draw):
+    """(register size, ordered qubit subset, seed)."""
+    n = draw(st.integers(1, 4))
+    order = draw(st.permutations(range(1, n + 1)))
+    k = draw(st.integers(1, min(n, 3)))
+    return n, tuple(order[:k]), draw(st.integers(0, 2**32 - 1))
+
+
+@given(subsets())
+def test_apply_on_subset_matches_kron_embed(case):
+    n, qubits, seed = case
+    rng = np.random.default_rng(seed)
+    state = random_state(rng, n)
+    gate = haar_random_unitary(1 << len(qubits), rng)
+    got = apply_on_subset(state, gate, qubits).amplitudes
+    assert_allclose(got, kron_embed(gate.entries, qubits, n) @ state.amplitudes, atol=1e-12)
+
+
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.floats(0.0, 0.9))
+def test_dump_then_load_is_exact(n, seed, sparsity):
+    rng = np.random.default_rng(seed)
+    amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+    amps[rng.random(1 << n) < sparsity] = 0.0
+    amps[0] += 1.0  # never all zero
+    state = StateVector(amps / np.linalg.norm(amps))
+    again = load_state(dump_state(state))
+    assert np.array_equal(again.amplitudes, state.amplitudes)
+
+
+@given(st.sampled_from(["bell", "ghz", "phi"]), st.data())
+def test_reachability_is_symmetric(basis, data):
+    catalog = catalog_by_name(basis)
+    qubit = data.draw(st.integers(1, catalog.n_qubits))
+    matrix = reachability_matrix(catalog, qubit)
+    assert np.array_equal(matrix, matrix.T)
