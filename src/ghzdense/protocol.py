@@ -10,9 +10,13 @@ Two protocols are covered:
 
 Noise model: while a qubit is in transit it suffers, with probability p,
 one Pauli error (X, Y or Z, each with probability p/3). Only qubits in
-transit are exposed; the receiver's qubit is ideal. Trajectories stay
-pure states. Per-trial randomness derives from (seed, trial index), so
-batch results do not depend on evaluation order.
+transit are exposed; the receiver's qubit is ideal. The channel is thus a
+finite mixture of error patterns (16 for ghz3, 4 for bell2), and each
+pattern maps every basis state to another basis state, so the decode
+distribution ``C[m-1, j-1]`` (message m read as j) is exact: one
+state-vector exchange per pattern and message. Batches sample from C
+with one random stream per call, seeded by the channel: first the
+message counts, then each message's decoded counts in message order.
 
 Both are ``bases.ghz_family(n)``, n=3 and n=2. The label of message m is
 the readout its state gives: the sign bit (0 for '+'), then the tail of
@@ -28,10 +32,10 @@ ValueError (exit code 2 on the command line).
 
 from __future__ import annotations
 
+import itertools
 import math
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import asdict, dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -61,11 +65,12 @@ def _family(protocol: str) -> Protocol:
 class ChannelConfig:
     """Transmission channel settings.
 
-    ``forced_errors`` replaces the stochastic channel with fixed Pauli
-    insertions, given as a mapping or pairs like ``{1: "Z"}``; listed
-    qubits must be in transit for the protocol used. It exists for
-    deterministic fault-injection tests, and while set the error
-    probability is ignored.
+    With ``forced_errors`` unset, the channel is the mixture of every
+    Pauli pattern on the transit qubits, weighted by ``pauli_error_prob``.
+    ``forced_errors`` makes it one fixed pattern of weight 1, given as a
+    mapping or pairs like ``{1: "Z"}``; listed qubits must be in transit
+    for the protocol used. It exists for deterministic fault-injection
+    tests, and while set the error probability is ignored.
     """
 
     pauli_error_prob: float = 0.0
@@ -90,18 +95,31 @@ class ChannelConfig:
 
 @dataclass(frozen=True)
 class TrialReport:
-    """Aggregate outcome of a batch of round trips."""
+    """Aggregate outcome of a batch of round trips.
+
+    ``messages_histogram`` counts the messages sent and
+    ``decoded_histogram`` the messages decoded, entry m-1 for message m.
+    ``expected_success_rate`` is the exact success probability the sampled
+    ``success_rate`` estimates: the mean diagonal of the decode
+    distribution, or its pinned message's entry.
+    """
 
     protocol: str
     trials: int
     successes: int
     success_rate: float
+    expected_success_rate: float
     messages_histogram: tuple[int, ...]
+    decoded_histogram: tuple[int, ...]
     bits_per_transmitted_qubit: float
     seed: int
 
     def to_json_dict(self) -> dict:
-        return {**asdict(self), "messages_histogram": list(self.messages_histogram)}
+        return {
+            **asdict(self),
+            "messages_histogram": list(self.messages_histogram),
+            "decoded_histogram": list(self.decoded_histogram),
+        }
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> TrialReport:
@@ -110,7 +128,9 @@ class TrialReport:
             trials=int(data["trials"]),
             successes=int(data["successes"]),
             success_rate=float(data["success_rate"]),
+            expected_success_rate=float(data["expected_success_rate"]),
             messages_histogram=tuple(int(c) for c in data["messages_histogram"]),
+            decoded_histogram=tuple(int(c) for c in data["decoded_histogram"]),
             bits_per_transmitted_qubit=float(data["bits_per_transmitted_qubit"]),
             seed=int(data["seed"]),
         )
@@ -144,53 +164,63 @@ def bell_measure(state: StateVector, rng_seed) -> tuple[int, float]:
     return _read_out(_BELL, _run_network(_BELL, state), rng_seed)
 
 
-def _apply_channel(
-    state: StateVector,
-    transmitted: tuple[int, ...],
-    channel: ChannelConfig,
-    rng: np.random.Generator,
-) -> StateVector:
+def _channel_terms(family: Protocol, channel: ChannelConfig) -> list[tuple[float, tuple]]:
+    """The channel as ``(weight, ((qubit, pauli), ...))`` error patterns of
+    nonzero weight: one per Pauli choice on each transit qubit, or the
+    forced errors with weight 1."""
     if channel.forced_errors is not None:
-        for q, g in channel.forced_errors:
-            if q not in transmitted:
+        for q, _ in channel.forced_errors:
+            if q not in family.transit:
                 raise ValueError(
-                    f"forced error on qubit {q}, but only qubits {transmitted} are in transit"
+                    f"forced error on qubit {q}, but only qubits {family.transit} are in transit"
                 )
-            state = apply_on_subset(state, _PAULIS[g], (q,))
-        return state
+        return [(1.0, channel.forced_errors)]
     p = channel.pauli_error_prob
-    if p == 0.0:
-        return state
-    for q in transmitted:
-        if rng.random() < p:
-            g = "XYZ"[rng.integers(3)]
-            state = apply_on_subset(state, _PAULIS[g], (q,))
-    return state
+    per_qubit = [(1.0 - p, None)] + [(p / 3.0, g) for g in "XYZ"]
+    terms = []
+    for choice in itertools.product(per_qubit, repeat=len(family.transit)):
+        weight = math.prod(w for w, _ in choice)
+        if weight > 0.0:
+            terms.append((weight, tuple((q, g) for q, (_, g) in zip(family.transit, choice) if g)))
+    return terms
 
 
-# Encoding a given message onto the default shared state is pure, so the
-# hot trial loop reuses one immutable result per message.
-@lru_cache(maxsize=None)
-def _encoded(family: Protocol, message: int) -> StateVector:
-    return _encode(family, message)
+def _decode_distribution(
+    family: Protocol, channel: ChannelConfig, messages: Sequence[int]
+) -> np.ndarray:
+    """``C[m-1, j-1]``, the probability that message m is decoded as j, for
+    each of ``messages`` (other rows stay zero).
 
-
-def _roundtrip(
-    family: Protocol, message: int, channel: ChannelConfig, rng: np.random.Generator
-) -> tuple[int, bool]:
-    sent = _encoded(family, message)
-    received = _apply_channel(sent, family.transit, channel, rng)
+    Every pattern maps a basis state to a basis state, so one exchange per
+    pattern and message gives its outcome with certainty."""
+    k = len(family.catalog)
     # Called through the module-level names, so whatever is bound to them
     # (such as the span wrappers of perfbench/tracer.py) runs.
     measure = bell_measure if family is _BELL else ghz_measure
-    decoded, _ = measure(received, rng)
-    return decoded, decoded == message
+    readout = np.random.default_rng(0)  # outcomes are certain; the seed is irrelevant
+    terms = _channel_terms(family, channel)
+    dist = np.zeros((k, k))
+    for m in messages:
+        sent = _encode(family, m)
+        for weight, errors in terms:
+            state = sent
+            for q, g in errors:
+                state = apply_on_subset(state, _PAULIS[g], (q,))
+            decoded, probability = measure(state, readout)
+            if abs(probability - 1.0) > 1e-9:
+                raise RuntimeError(
+                    f"errors {errors} leave message {m} decoded as {decoded} only with "
+                    f"probability {probability}; the channel must map basis states to basis states"
+                )
+            dist[m - 1, decoded - 1] += weight
+    return dist
 
 
 def _one_exchange(protocol: str, message: int, channel: ChannelConfig) -> tuple[int, bool]:
     family = _family(protocol)
     message = _checked(message, "message index", 1, len(family.catalog))
-    return _roundtrip(family, message, channel, np.random.default_rng(channel.rng_seed))
+    decoded = 1 + run_trials(protocol, 1, channel, message).decoded_histogram.index(1)
+    return decoded, decoded == message
 
 
 def roundtrip_ghz(message: int, channel: ChannelConfig = ChannelConfig()) -> tuple[int, bool]:
@@ -211,30 +241,40 @@ def run_trials(
 ) -> TrialReport:
     """Run independent round trips and aggregate them.
 
-    Messages are drawn uniformly per trial (the capacity-optimal prior)
-    unless ``fixed_message`` pins them all to one value. Each trial's
-    randomness comes from its own stream spawned off ``channel.rng_seed``,
-    so reports are reproducible and order-independent.
+    Messages are drawn uniformly (the capacity-optimal prior) unless
+    ``fixed_message`` pins them all to one value. The decoded messages are
+    drawn from the exact decode distribution, so the cost does not grow
+    with ``trials``. All draws come from one stream seeded by
+    ``channel.rng_seed``: the message counts (one multinomial draw, skipped
+    when a message is pinned), then each sent message's decoded counts,
+    in message order. Equal arguments give equal reports.
     """
     family = _family(protocol)
     trials = _checked(trials, "trials", 1)
     k = len(family.catalog)
     if fixed_message is not None:
         fixed_message = _checked(fixed_message, "fixed message", 1, k)
-    histogram = [0] * k
-    successes = 0
-    for child in np.random.SeedSequence(channel.rng_seed).spawn(trials):
-        rng = np.random.default_rng(child)
-        message = fixed_message if fixed_message is not None else 1 + int(rng.integers(k))
-        _, ok = _roundtrip(family, message, channel, rng)
-        histogram[message - 1] += 1
-        successes += ok
+    messages = range(1, k + 1) if fixed_message is None else (fixed_message,)
+    dist = _decode_distribution(family, channel, messages)
+    rng = np.random.default_rng(channel.rng_seed)
+    sent = np.zeros(k, dtype=np.int64)
+    if fixed_message is None:
+        sent[:] = rng.multinomial(trials, [1.0 / k] * k)
+    else:
+        sent[fixed_message - 1] = trials
+    counts = np.zeros((k, k), dtype=np.int64)
+    for m in messages:
+        counts[m - 1] = rng.multinomial(sent[m - 1], dist[m - 1])
+    successes = int(np.trace(counts))
     return TrialReport(
         protocol=protocol,
         trials=trials,
         successes=successes,
         success_rate=successes / trials,
-        messages_histogram=tuple(histogram),
+        # Only the rows of ``messages`` are filled: this is their mean diagonal.
+        expected_success_rate=float(np.trace(dist)) / len(messages),
+        messages_histogram=tuple(sent.tolist()),
+        decoded_histogram=tuple(counts.sum(axis=0).tolist()),
         bits_per_transmitted_qubit=math.log2(k) / len(family.transit),
         seed=channel.rng_seed,
     )
