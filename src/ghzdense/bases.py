@@ -16,11 +16,11 @@ slip cannot hide below the Gram-test tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 
 import numpy as np
 
-from .qstate import ATOL, IDENTITY, PAULI_X, PAULI_Z, StateVector, UnitaryMatrix, _checked, tensor
+from .qstate import ATOL, _NAMED_GATES, StateVector, UnitaryMatrix, _checked, tensor
 
 _PHI_SIGNS = (
     (+1, +1, +1, +1, +1, +1, +1, +1),
@@ -81,17 +81,20 @@ class Protocol:
     decode_table: dict[str, int]
 
 
-_FACTORS = {"I": IDENTITY, "X": PAULI_X, "Z": PAULI_Z, "ZX": PAULI_Z @ PAULI_X, "XZ": PAULI_X @ PAULI_Z}
-
 # Per family size: protocol name, basis name, and each message's encoder
-# as tensor factors over the transit qubits, qubit 1 first. The tables
-# are explicit because n=3 message 6 is I (x) XZ, where the rule behind
-# the n=2 table (X onto the ket tail, then Z on qubit 1 for '-') gives
-# Z (x) X.
+# as tensor factors over the transit qubits, qubit 1 first; a factor such
+# as ZX is the matrix product of its named gates. The tables are explicit
+# because n=3 message 6 is I (x) XZ, where the rule behind the n=2 table
+# (X onto the ket tail, then Z on qubit 1 for '-') gives Z (x) X.
 _LAYOUTS = {
     2: ("bell2", "bell", ("I", "Z", "X", "ZX")),
     3: ("ghz3", "ghz", ("I I", "Z I", "X I", "ZX I", "I X", "I XZ", "X X", "ZX X")),
 }
+
+
+def _gates(word: str) -> UnitaryMatrix:
+    """Matrix product of the named one-letter gates in ``word``: ZX is Z @ X."""
+    return reduce(UnitaryMatrix.__matmul__, map(_NAMED_GATES.__getitem__, word))
 
 
 def _build_family(n: int) -> Protocol:
@@ -114,13 +117,16 @@ def _build_family(n: int) -> Protocol:
         name=name,
         catalog=BasisCatalog(basis, tuple(states)),
         transit=tuple(range(1, n)),
-        encoders=tuple(reduce(tensor, (_FACTORS[f] for f in ops.split())) for ops in factors),
+        encoders=tuple(reduce(tensor, map(_gates, ops.split())) for ops in factors),
         network=tuple(("CNOT", (1, t)) for t in range(n, 1, -1)) + (("H", (1,)),),
         decode_table=decode_table,
     )
 
 
 _FAMILIES = {n: _build_family(n) for n in _LAYOUTS}
+# Every named basis, built once at import: bell, ghz, phi.
+_CATALOGS = {family.catalog.name: family.catalog for family in _FAMILIES.values()}
+_CATALOGS["phi"] = BasisCatalog("phi", tuple(phi_state(i) for i in range(1, len(_PHI_SIGNS) + 1)))
 
 
 def ghz_family(n: int) -> Protocol:
@@ -141,24 +147,22 @@ def ghz_state(index: int) -> StateVector:
 
 
 def bell_catalog() -> BasisCatalog:
-    return _FAMILIES[2].catalog
+    return _CATALOGS["bell"]
 
 
 def ghz_catalog() -> BasisCatalog:
-    return _FAMILIES[3].catalog
+    return _CATALOGS["ghz"]
 
 
-@lru_cache(maxsize=None)
 def phi_catalog() -> BasisCatalog:
-    return BasisCatalog("phi", tuple(phi_state(i) for i in range(1, 9)))
+    return _CATALOGS["phi"]
 
 
 def catalog_by_name(name: str) -> BasisCatalog:
-    builders = {"bell": bell_catalog, "ghz": ghz_catalog, "phi": phi_catalog}
     try:
-        return builders[name]()
-    except KeyError:
-        raise ValueError(f"unknown basis {name!r}; expected one of {sorted(builders)}") from None
+        return _CATALOGS[name]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown basis {name!r}; expected one of {sorted(_CATALOGS)}") from None
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from collections.abc import Sequence
 
-from .bases import catalog_by_name, ghz_catalog, verify_orthonormal
+from .bases import _CATALOGS, catalog_by_name, ghz_catalog, verify_orthonormal
 from .encoding import encode, reachability_matrix, reachability_oracle_matrix
 from .ghzmeasure import GATE_SEQUENCE, OUTCOME_TABLE, disentangle
 from .protocol import PROTOCOL_NAMES, ChannelConfig, _family, capacity_summary, run_trials
@@ -193,11 +193,11 @@ def _build_parser() -> _Parser:
     bases = sub.add_parser("bases", help="inspect the built-in bases")
     bases_sub = bases.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
     verify = bases_sub.add_parser("verify", help="orthonormality report")
-    verify.add_argument("--basis", required=True, choices=("bell", "ghz", "phi"))
+    verify.add_argument("--basis", required=True, choices=tuple(_CATALOGS))
     verify.add_argument("--json", action="store_true")
     verify.set_defaults(handler=_cmd_bases_verify)
     dump = bases_sub.add_parser("dump", help="print one basis state")
-    dump.add_argument("--basis", required=True, choices=("bell", "ghz", "phi"))
+    dump.add_argument("--basis", required=True, choices=tuple(_CATALOGS))
     dump.add_argument("--index", required=True, help="state index, e.g. 3 or psi3")
     dump.set_defaults(handler=_cmd_bases_dump)
 

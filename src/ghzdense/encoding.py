@@ -29,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bases import BasisCatalog, Protocol, ghz_family
-from .qstate import StateVector, UnitaryMatrix, _checked, apply_on_subset, fidelity_up_to_phase
+from .qstate import StateVector, UnitaryMatrix, _checked, _haar_unitaries, _rng, apply_on_subset
+from .qstate import fidelity_up_to_phase
 
 REACH_ATOL = 1e-10  # Gram comparisons accumulate a few products
 _WITNESS_MIN_FIDELITY = 1.0 - 1e-9
@@ -127,14 +128,6 @@ def reachable_by_single_qubit(
     return ReachabilityVerdict(reachable=True, witness=witness)
 
 
-def _haar_batch(count: int, rng: np.random.Generator) -> np.ndarray:
-    """Stack of ``count`` Haar-random single-qubit unitaries, shape (count, 2, 2)."""
-    z = (rng.standard_normal((count, 2, 2)) + 1j * rng.standard_normal((count, 2, 2))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r, axis1=1, axis2=2)
-    return q * (d / np.abs(d))[:, np.newaxis, :]
-
-
 def reachability_oracle(
     source: StateVector,
     target: StateVector,
@@ -146,16 +139,17 @@ def reachability_oracle(
     apply ``samples`` Haar-random unitaries to ``qubit`` of ``source`` and
     return the best fidelity (up to phase) against ``target`` seen.
 
-    ``rng_seed`` may be anything ``numpy.random.default_rng`` accepts.
+    ``rng_seed`` is an integer seed >= 0 or a ``numpy.random.Generator``;
+    anything else, bools and floats included, is a ``ValueError``.
     Results are a deterministic function of the arguments.
     """
     samples = _checked(samples, "samples", 1)
     x, y = _cofactors(source, target, qubit)
-    rng = np.random.default_rng(rng_seed)
+    rng = _rng(rng_seed)
     best = 0.0
     remaining = samples
     while remaining > 0:
-        batch = _haar_batch(min(remaining, _ORACLE_BATCH), rng)
+        batch = _haar_unitaries(min(remaining, _ORACLE_BATCH), 2, rng)
         # |<target| (u (x) 1) |source>|^2, vectorized over the batch.
         overlaps = np.einsum("id,nij,jd->n", y.conj(), batch, x)
         best = max(best, float(np.max(np.abs(overlaps) ** 2)))
@@ -189,6 +183,6 @@ def reachability_oracle_matrix(
     for i in range(1, k + 1):
         for j in range(1, k + 1):
             out[i - 1, j - 1] = reachability_oracle(
-                catalog.state(i), catalog.state(j), qubit, samples, rng_seed=[rng_seed, i, j]
+                catalog.state(i), catalog.state(j), qubit, samples, np.random.default_rng([rng_seed, i, j])
             )
     return out

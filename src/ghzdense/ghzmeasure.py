@@ -28,11 +28,10 @@ from functools import cache
 import numpy as np
 
 from .bases import Protocol, ghz_family
-from .qstate import CNOT, HADAMARD, StateVector, UnitaryMatrix, _checked, apply_on_subset
+from .qstate import _NAMED_GATES, StateVector, UnitaryMatrix, _checked, apply_on_subset
 from .qstate import embed_on_subset, measure_computational
 
 _GHZ = ghz_family(3)
-_GATES = {"CNOT": CNOT, "H": HADAMARD}
 
 GATE_SEQUENCE = _GHZ.network
 # Measurement outcome (bits of qubits 1, 2, 3) -> GHZ index. This is the
@@ -46,7 +45,7 @@ def _run_network(family: Protocol, state: StateVector) -> StateVector:
     if state.n_qubits != n:
         raise ValueError(f"network expects {n} qubits, got {state.n_qubits}")
     for name, qubits in family.network:
-        state = apply_on_subset(state, _GATES[name], qubits)
+        state = apply_on_subset(state, _NAMED_GATES[name], qubits)
     return state
 
 
@@ -63,15 +62,16 @@ def disentangle(state: StateVector) -> StateVector:
 @cache
 def network_unitary() -> UnitaryMatrix:
     """The whole network as one 8x8 operator (gates composed in order)."""
-    composite = np.eye(8, dtype=np.complex128)
-    for name, qubits in GATE_SEQUENCE:
-        composite = embed_on_subset(_GATES[name], qubits, 3).entries @ composite
+    n = _GHZ.catalog.n_qubits
+    composite = np.eye(1 << n, dtype=np.complex128)
+    for name, qubits in _GHZ.network:
+        composite = embed_on_subset(_NAMED_GATES[name], qubits, n).entries @ composite
     return UnitaryMatrix(composite)
 
 
 def decode(outcome: str) -> int:
     """GHZ index for a three-bit measurement outcome string."""
-    if not isinstance(outcome, str) or len(outcome) != 3 or any(c not in "01" for c in outcome):
+    if not isinstance(outcome, str) or outcome not in DECODE_TABLE:
         raise ValueError(f"malformed outcome {outcome!r}; expected three bits like '011'")
     return DECODE_TABLE[outcome]
 
@@ -87,7 +87,7 @@ def ghz_measure(state: StateVector, rng_seed) -> tuple[int, float]:
 
     Disentangles, samples a computational outcome, decodes. Index i is
     returned with probability |<ghz_i|state>|^2 for any input, because
-    the network is unitary. ``rng_seed`` is an integer seed or a numpy
+    the network is unitary. ``rng_seed`` is an integer seed >= 0 or a numpy
     Generator, as in :func:`ghzdense.qstate.measure_computational`.
     """
     return _read_out(_GHZ, disentangle(state), rng_seed)

@@ -42,13 +42,13 @@ import numpy as np
 from .bases import Protocol, ghz_family
 from .encoding import _encode
 from .ghzmeasure import _read_out, _run_network, ghz_measure
-from .qstate import PAULI_X, PAULI_Y, PAULI_Z, StateVector, _checked, apply_on_subset
+from .qstate import _NAMED_GATES, StateVector, _checked, _rng, apply_on_subset
 
 _BELL = ghz_family(2)
 _BY_NAME = {family.name: family for family in (ghz_family(3), _BELL)}
 PROTOCOL_NAMES = tuple(_BY_NAME)
 
-_PAULIS = {"X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
+_ERRORS = ("X", "Y", "Z")  # the Pauli errors a qubit in transit can suffer
 
 # Outcome of the two-qubit disentangler (CNOT(1,2) then H(1)) -> message.
 BELL_DECODE_TABLE = _BELL.decode_table
@@ -84,12 +84,15 @@ class ChannelConfig:
         if self.forced_errors is not None:
             raw = self.forced_errors
             items = raw.items() if isinstance(raw, Mapping) else raw
-            pairs = tuple((_checked(q, "qubit position", 1), str(g).upper()) for q, g in items)
-            for _, g in pairs:
-                if g not in _PAULIS:
-                    raise ValueError(f"forced error {g!r} is not one of X, Y, Z")
+            try:
+                pairs = tuple((q, str(g).upper()) for q, g in items)
+            except (TypeError, ValueError):  # not iterable, or an entry that is not a pair
+                raise ValueError(f"forced_errors must map qubits to Pauli errors, got {raw!r}") from None
+            if any(g not in _ERRORS for _, g in pairs):
+                raise ValueError(f"forced_errors {raw!r} names an error other than X, Y, Z")
+            pairs = tuple((_checked(q, "forced_errors qubit", 1), g) for q, g in pairs)
             if len({q for q, _ in pairs}) != len(pairs):
-                raise ValueError("at most one forced error per qubit")
+                raise ValueError("forced_errors may hold at most one error per qubit")
             object.__setattr__(self, "forced_errors", pairs)
 
 
@@ -147,13 +150,14 @@ class CapacityRow:
     bits_per_transmitted_qubit: float
 
 
+def _capacity(family: Protocol) -> CapacityRow:
+    k, q = len(family.catalog), len(family.transit)
+    return CapacityRow(family.name, k, q, math.log2(k), math.log2(k) / q)
+
+
 def capacity_summary() -> tuple[CapacityRow, ...]:
     """Message counts and bits per transmitted qubit for both protocols."""
-    rows = []
-    for family in _BY_NAME.values():
-        k, q = len(family.catalog), len(family.transit)
-        rows.append(CapacityRow(family.name, k, q, math.log2(k), math.log2(k) / q))
-    return tuple(rows)
+    return tuple(_capacity(family) for family in _BY_NAME.values())
 
 
 def bell_measure(state: StateVector, rng_seed) -> tuple[int, float]:
@@ -176,7 +180,7 @@ def _channel_terms(family: Protocol, channel: ChannelConfig) -> list[tuple[float
                 )
         return [(1.0, channel.forced_errors)]
     p = channel.pauli_error_prob
-    per_qubit = [(1.0 - p, None)] + [(p / 3.0, g) for g in "XYZ"]
+    per_qubit = [(1.0 - p, None)] + [(p / 3.0, g) for g in _ERRORS]
     terms = []
     for choice in itertools.product(per_qubit, repeat=len(family.transit)):
         weight = math.prod(w for w, _ in choice)
@@ -197,7 +201,7 @@ def _decode_distribution(
     # Called through the module-level names, so whatever is bound to them
     # (such as the span wrappers of perfbench/tracer.py) runs.
     measure = bell_measure if family is _BELL else ghz_measure
-    readout = np.random.default_rng(0)  # outcomes are certain; the seed is irrelevant
+    readout = _rng(0)  # outcomes are certain; the seed is irrelevant
     terms = _channel_terms(family, channel)
     dist = np.zeros((k, k))
     for m in messages:
@@ -205,7 +209,7 @@ def _decode_distribution(
         for weight, errors in terms:
             state = sent
             for q, g in errors:
-                state = apply_on_subset(state, _PAULIS[g], (q,))
+                state = apply_on_subset(state, _NAMED_GATES[g], (q,))
             decoded, probability = measure(state, readout)
             if abs(probability - 1.0) > 1e-9:
                 raise RuntimeError(
@@ -217,10 +221,8 @@ def _decode_distribution(
 
 
 def _one_exchange(protocol: str, message: int, channel: ChannelConfig) -> tuple[int, bool]:
-    family = _family(protocol)
-    message = _checked(message, "message index", 1, len(family.catalog))
-    decoded = 1 + run_trials(protocol, 1, channel, message).decoded_histogram.index(1)
-    return decoded, decoded == message
+    report = run_trials(protocol, 1, channel, message)
+    return 1 + report.decoded_histogram.index(1), report.successes == 1
 
 
 def roundtrip_ghz(message: int, channel: ChannelConfig = ChannelConfig()) -> tuple[int, bool]:
@@ -250,13 +252,14 @@ def run_trials(
     in message order. Equal arguments give equal reports.
     """
     family = _family(protocol)
-    trials = _checked(trials, "trials", 1)
+    # numpy's multinomial counts in int64
+    trials = _checked(trials, "trials", 1, np.iinfo(np.int64).max)
     k = len(family.catalog)
     if fixed_message is not None:
         fixed_message = _checked(fixed_message, "fixed message", 1, k)
     messages = range(1, k + 1) if fixed_message is None else (fixed_message,)
     dist = _decode_distribution(family, channel, messages)
-    rng = np.random.default_rng(channel.rng_seed)
+    rng = _rng(channel.rng_seed)
     sent = np.zeros(k, dtype=np.int64)
     if fixed_message is None:
         sent[:] = rng.multinomial(trials, [1.0 / k] * k)
@@ -275,6 +278,6 @@ def run_trials(
         expected_success_rate=float(np.trace(dist)) / len(messages),
         messages_histogram=tuple(sent.tolist()),
         decoded_histogram=tuple(counts.sum(axis=0).tolist()),
-        bits_per_transmitted_qubit=math.log2(k) / len(family.transit),
+        bits_per_transmitted_qubit=_capacity(family).bits_per_transmitted_qubit,
         seed=channel.rng_seed,
     )

@@ -37,6 +37,37 @@ def _checked(value, name: str, low, high=None, kind=int):
     return value
 
 
+def _qubit_count(dim, name: str) -> int:
+    """n for an integer dimension ``dim`` = 2^n >= 2, the one dimension check."""
+    n = _checked(dim, name, 2).bit_length() - 1
+    if dim != 1 << n:
+        raise ValueError(f"{name} {dim} is not a power of two >= 2")
+    return n
+
+
+def _rng(seed) -> np.random.Generator:
+    """Random stream for ``seed``, the package's one seed check: a
+    ``numpy.random.Generator`` passes through, any other seed must be an
+    integer >= 0."""
+    if isinstance(seed, np.random.Generator):
+        return seed
+    return np.random.default_rng(_checked(seed, "rng_seed", 0))
+
+
+def _haar_unitaries(count: int, dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Stack of ``count`` Haar-random dim x dim unitaries, shape (count, dim, dim).
+
+    QR orthonormalization of complex Gaussian matrices; the R factor's
+    diagonal phases are divided out, which removes the QR sign ambiguity
+    and makes the distribution properly uniform (Mezzadri,
+    arXiv:math-ph/0609050).
+    """
+    z = (rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal((count, dim, dim))) / np.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=1, axis2=2)
+    return q * (d / np.abs(d))[:, np.newaxis, :]
+
+
 def _as_finite_complex(values, name: str) -> np.ndarray:
     arr = np.array(values, dtype=np.complex128)
     if not np.all(np.isfinite(arr)):
@@ -53,10 +84,7 @@ class StateVector:
         amps = _as_finite_complex(amplitudes, "amplitudes")
         if amps.ndim != 1:
             raise ValueError("amplitudes must be one-dimensional")
-        dim = amps.shape[0]
-        n = dim.bit_length() - 1
-        if dim < 2 or dim != 1 << n:
-            raise ValueError(f"amplitude count {dim} is not a power of two >= 2")
+        n = _qubit_count(amps.shape[0], "amplitude count")
         if n > MAX_QUBITS:
             raise ValueError(f"{n} qubits exceeds the supported maximum of {MAX_QUBITS}")
         norm = float(np.linalg.norm(amps))
@@ -112,10 +140,8 @@ class UnitaryMatrix:
         m = _as_finite_complex(entries, "entries")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("entries must form a square matrix")
-        dim = m.shape[0]
-        if dim < 2 or dim & (dim - 1):
-            raise ValueError(f"dimension {dim} is not a power of two >= 2")
-        defect = float(np.max(np.abs(m.conj().T @ m - np.eye(dim))))
+        _qubit_count(m.shape[0], "dimension")
+        defect = float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))
         if defect > ATOL:
             raise ValueError(f"matrix is not unitary (max |U^H U - I| = {defect:.3e})")
         m.setflags(write=False)
@@ -152,6 +178,8 @@ PAULI_Z = UnitaryMatrix([[1, 0], [0, -1]])
 HADAMARD = UnitaryMatrix(np.array([[1, 1], [1, -1]]) / np.sqrt(2.0))
 # Control is the first qubit of the pair the gate is applied to.
 CNOT = UnitaryMatrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
+# The names encoders, networks and error patterns use for the gates above.
+_NAMED_GATES = {"I": IDENTITY, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z, "H": HADAMARD, "CNOT": CNOT}
 
 
 def basis_state(bits: str) -> StateVector:
@@ -217,7 +245,7 @@ def embed_on_subset(u: UnitaryMatrix, qubits: Sequence[int], n_qubits: int) -> U
 
     Built column by column, so it is only meant for small registers.
     """
-    dim = 1 << n_qubits
+    dim = 1 << _checked(n_qubits, "n_qubits", 1, MAX_QUBITS)
     full = np.empty((dim, dim), dtype=np.complex128)
     for col in range(dim):
         e = np.zeros(dim, dtype=np.complex128)
@@ -234,35 +262,31 @@ def measure_computational(state: StateVector, rng_seed) -> tuple[str, float]:
     state:
         State to measure (it is not modified; this is a pure sampler).
     rng_seed:
-        Integer seed or ``numpy.random.Generator``. The same seed always
-        yields the same outcome.
+        Integer seed >= 0 or ``numpy.random.Generator``; anything else,
+        bools included, is a ``ValueError``. The same seed always yields
+        the same outcome.
 
     Returns
     -------
     tuple
         The outcome as a bit string (qubit 1 first) and its probability.
     """
-    rng = np.random.default_rng(rng_seed)
     probs = state.probabilities()
     cdf = np.cumsum(probs)
-    idx = int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
+    idx = int(np.searchsorted(cdf, _rng(rng_seed).random() * cdf[-1], side="right"))
     idx = min(idx, state.dim - 1)
     return format(idx, f"0{state.n_qubits}b"), float(probs[idx])
 
 
 def haar_random_unitary(dim: int, rng_seed) -> UnitaryMatrix:
-    """Haar-distributed unitary via QR orthonormalization of a Gaussian matrix.
+    """Haar-distributed unitary of dimension ``dim`` (a power of two >= 2),
+    the one-matrix case of the package's batched QR sampler.
 
-    The R factor's diagonal phases are divided out, which removes the QR
-    sign ambiguity and makes the distribution properly uniform.
+    ``rng_seed`` is an integer seed >= 0 or a ``numpy.random.Generator``,
+    as in :func:`measure_computational`; a non-integer ``dim`` or seed is a
+    ``ValueError``.
     """
-    if dim < 2 or dim & (dim - 1):
-        raise ValueError(f"dimension {dim} is not a power of two >= 2")
-    rng = np.random.default_rng(rng_seed)
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return UnitaryMatrix(q * (d / np.abs(d)))
+    return UnitaryMatrix(_haar_unitaries(1, 1 << _qubit_count(dim, "dimension"), _rng(rng_seed))[0])
 
 
 def dump_state(state: StateVector) -> str:
@@ -294,8 +318,7 @@ def load_state(text: str) -> StateVector:
         n = int(header[1])
     except ValueError:
         raise ValueError(f"malformed qubit count {header[1]!r}") from None
-    if not 1 <= n <= MAX_QUBITS:
-        raise ValueError(f"qubit count {n} out of range 1..{MAX_QUBITS}")
+    n = _checked(n, "qubit count", 1, MAX_QUBITS)
     amps = np.zeros(1 << n, dtype=np.complex128)
     seen: set[int] = set()
     for ln in lines[1:]:
@@ -306,8 +329,7 @@ def load_state(text: str) -> StateVector:
             idx, re, im = int(fields[0]), float(fields[1]), float(fields[2])
         except ValueError:
             raise ValueError(f"malformed amplitude line {ln!r}") from None
-        if not 0 <= idx < amps.shape[0]:
-            raise ValueError(f"index {idx} out of range for {n} qubit(s)")
+        idx = _checked(idx, f"amplitude index for {n} qubit(s)", 0, amps.shape[0] - 1)
         if idx in seen:
             raise ValueError(f"duplicate index {idx}")
         seen.add(idx)

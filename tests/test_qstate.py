@@ -292,6 +292,23 @@ class TestHaarRandomUnitary:
         values = [abs(haar_random_unitary(2, rng).entries[0, 0]) ** 2 for _ in range(2000)]
         assert np.mean(values) == pytest.approx(0.5, abs=0.05)
 
+    @staticmethod
+    def _reference(dim, rng):
+        # The one-matrix QR formula the batched sampler must reproduce.
+        z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
+        q, r = np.linalg.qr(z)
+        d = np.diagonal(r)
+        return q * (d / np.abs(d))
+
+    @pytest.mark.parametrize("dim", [2, 4, 8])
+    def test_draws_equal_the_single_matrix_qr_formula(self, dim):
+        for seed in (0, 1, 11, 12345):
+            want = self._reference(dim, np.random.default_rng(seed))
+            assert np.array_equal(haar_random_unitary(dim, seed).entries, want)
+        shared, reference = np.random.default_rng(42), np.random.default_rng(42)
+        for _ in range(5):
+            assert np.array_equal(haar_random_unitary(dim, shared).entries, self._reference(dim, reference))
+
 
 # ---------------------------------------------------------------------------
 # text serialization

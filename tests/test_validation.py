@@ -1,8 +1,9 @@
 """One input contract for every entry point.
 
 Integer parameters accept Python and numpy integers and store plain
-ints; bools, floats and other types are rejected. Every rejection is a
-``ValueError``, which the CLI turns into exit code 2.
+ints; bools, floats and other types are rejected. Seeds are integers
+>= 0, and the library also takes a ``numpy.random.Generator``. Every
+rejection is a ``ValueError``, which the CLI turns into exit code 2.
 """
 
 import numpy as np
@@ -19,6 +20,9 @@ from ghzdense.encoding import (
 )
 from ghzdense.ghzmeasure import outcome_for_index
 from ghzdense.protocol import ChannelConfig, run_trials
+from ghzdense.qstate import CNOT, embed_on_subset, haar_random_unitary, load_state, measure_computational
+
+INT64_MAX = np.iinfo(np.int64).max
 
 REJECTED = {
     "encode(True)": lambda: encode(True),
@@ -35,6 +39,22 @@ REJECTED = {
     "reachable_by_single_qubit qubit=True": lambda: reachable_by_single_qubit(
         ghz_state(1), ghz_state(3), qubit=True
     ),
+    "reachability_oracle rng_seed=True": lambda: reachability_oracle(
+        ghz_state(1), ghz_state(3), 1, samples=10, rng_seed=True
+    ),
+    "reachability_oracle rng_seed=1.5": lambda: reachability_oracle(
+        ghz_state(1), ghz_state(3), 1, samples=10, rng_seed=1.5
+    ),
+    "measure_computational seed=1.5": lambda: measure_computational(ghz_state(1), 1.5),
+    "measure_computational seed=True": lambda: measure_computational(ghz_state(1), True),
+    "measure_computational seed=-1": lambda: measure_computational(ghz_state(1), -1),
+    "haar_random_unitary(2.0, 0)": lambda: haar_random_unitary(2.0, 0),
+    "haar_random_unitary(True, 0)": lambda: haar_random_unitary(True, 0),
+    "haar_random_unitary(3, 0)": lambda: haar_random_unitary(3, 0),
+    "load_state qubit count 21": lambda: load_state("nqubits 21\n0 1 0\n"),
+    "load_state amplitude index 4 of 2 qubits": lambda: load_state("nqubits 2\n4 1 0\n"),
+    "run_trials trials=2**63": lambda: run_trials("ghz3", INT64_MAX + 1),
+    "embed_on_subset n_qubits=2.0": lambda: embed_on_subset(CNOT, (1, 2), 2.0),
 }
 
 
@@ -42,6 +62,31 @@ REJECTED = {
 def test_rejected_with_value_error(call):
     with pytest.raises(ValueError):
         call()
+
+
+MALFORMED_FORCED_ERRORS = {
+    "not iterable": 5,
+    "entry not a pair": [1],
+    "string": "1Z",
+    "one-element entry": [(1,)],
+    "three-element entry": [(1, "X", "Y")],
+    "qubit as string": ["1Z"],
+    "qubit 0": {0: "X"},
+    "unknown error": {1: "W"},
+    "two errors on one qubit": [(1, "X"), (1, "Z")],
+}
+
+
+@pytest.mark.parametrize("value", MALFORMED_FORCED_ERRORS.values(), ids=MALFORMED_FORCED_ERRORS.keys())
+def test_malformed_forced_errors_name_the_field(value):
+    with pytest.raises(ValueError, match="forced_errors"):
+        ChannelConfig(forced_errors=value)
+
+
+def test_largest_int64_trial_count_runs():
+    report = run_trials("ghz3", INT64_MAX, ChannelConfig(pauli_error_prob=0.1))
+    assert report.trials == INT64_MAX
+    assert sum(report.messages_histogram) == sum(report.decoded_histogram) == INT64_MAX
 
 
 def test_numpy_integer_message_is_stored_as_int():
@@ -56,6 +101,14 @@ ACCEPTED = {
         lambda: bell_encode(2).amplitudes,
     ),
     "outcome_for_index(np.int64(2))": (lambda: outcome_for_index(np.int64(2)), lambda: "100"),
+    "haar_random_unitary(np.int64(4), np.int64(3))": (
+        lambda: haar_random_unitary(np.int64(4), np.int64(3)).entries,
+        lambda: haar_random_unitary(4, 3).entries,
+    ),
+    "reachability_oracle rng_seed=np.int64(3)": (
+        lambda: reachability_oracle(ghz_state(1), ghz_state(3), 2, samples=50, rng_seed=np.int64(3)),
+        lambda: reachability_oracle(ghz_state(1), ghz_state(3), 2, samples=50, rng_seed=3),
+    ),
     "pauli_error_prob=np.float32(0.1)": (
         lambda: ChannelConfig(pauli_error_prob=np.float32(0.1)).pauli_error_prob,
         lambda: float(np.float32(0.1)),
@@ -75,3 +128,12 @@ def test_cli_negative_seed_exits_2_naming_the_seed(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "seed" in captured.err
+
+
+def test_cli_trial_count_beyond_int64_exits_2_naming_trials(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["roundtrip", "--protocol", "ghz3", "--trials", str(INT64_MAX + 1)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "trials" in captured.err
