@@ -34,13 +34,6 @@ _PHI_SIGNS = (
 )
 
 
-def phi_state(index: int) -> StateVector:
-    """Sign-pattern basis state number ``index`` (1..8)."""
-    index = _checked(index, "phi index", 1, len(_PHI_SIGNS))
-    signs = np.array(_PHI_SIGNS[index - 1], dtype=np.complex128)
-    return StateVector(signs / np.sqrt(8.0))
-
-
 @dataclass(frozen=True)
 class BasisCatalog:
     """Ordered family of equally sized states; indexing is 1-based."""
@@ -126,7 +119,9 @@ def _build_family(n: int) -> Protocol:
 _FAMILIES = {n: _build_family(n) for n in _LAYOUTS}
 # Every named basis, built once at import: bell, ghz, phi.
 _CATALOGS = {family.catalog.name: family.catalog for family in _FAMILIES.values()}
-_CATALOGS["phi"] = BasisCatalog("phi", tuple(phi_state(i) for i in range(1, len(_PHI_SIGNS) + 1)))
+_CATALOGS["phi"] = BasisCatalog(
+    "phi", tuple(StateVector(np.array(signs, dtype=np.complex128) / np.sqrt(8.0)) for signs in _PHI_SIGNS)
+)
 
 
 def ghz_family(n: int) -> Protocol:
@@ -144,6 +139,11 @@ def bell_state(index: int) -> StateVector:
 def ghz_state(index: int) -> StateVector:
     """GHZ triple number ``index`` (1..8); index 1 is (|000>+|111>)/sqrt(2)."""
     return ghz_catalog().state(index)
+
+
+def phi_state(index: int) -> StateVector:
+    """Sign-pattern basis state number ``index`` (1..8)."""
+    return phi_catalog().state(index)
 
 
 def bell_catalog() -> BasisCatalog:

@@ -91,7 +91,7 @@ def _cmd_encode(args) -> CommandResult:
     return CommandResult(0, dump_state(encode(message)).rstrip("\n"))
 
 
-def _reach_labels(basis: str, count: int) -> list[str]:
+def _labels(basis: str, count: int) -> list[str]:
     prefix = _INDEX_PREFIX[basis]
     return [f"{prefix}{i}" for i in range(1, count + 1)]
 
@@ -113,7 +113,7 @@ def _cmd_reach(args) -> CommandResult:
             payload["seed"] = args.seed
             payload["max_fidelity"] = [[float(v) for v in row] for row in fidelities]
         return CommandResult(0, json.dumps(payload, indent=2))
-    labels = _reach_labels(args.basis, len(catalog))
+    labels = _labels(args.basis, len(catalog))
     width = max(len(lb) for lb in labels)
     lines = [
         f"single-qubit reachability (basis {catalog.name}, qubit {args.qubit}); "
@@ -138,8 +138,8 @@ def _cmd_network_show(args) -> CommandResult:
         else:
             lines.append(f"  {name} qubit={qubits[0]}")
     lines.append("truth table (ghz index -> measured bits):")
-    for index, outcome in OUTCOME_TABLE.items():
-        lines.append(f"  psi{index} -> {outcome}")
+    for label, outcome in zip(_labels("ghz", len(OUTCOME_TABLE)), OUTCOME_TABLE.values()):
+        lines.append(f"  {label} -> {outcome}")
     return CommandResult(0, "\n".join(lines))
 
 
@@ -206,8 +206,8 @@ def _build_parser() -> _Parser:
     enc.set_defaults(handler=_cmd_encode)
 
     reach = sub.add_parser("reach", help="single-qubit reachability matrix of a basis")
-    reach.add_argument("--basis", required=True, choices=("ghz", "phi"))
-    reach.add_argument("--qubit", type=int, default=1, choices=(1, 2, 3))
+    reach.add_argument("--basis", required=True, choices=tuple(_CATALOGS))
+    reach.add_argument("--qubit", type=int, default=1)
     reach.add_argument("--oracle", action="store_true", help="also print best sampled fidelities")
     reach.add_argument("--samples", type=int, default=10_000)
     reach.add_argument("--seed", type=int, default=0)

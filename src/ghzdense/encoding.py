@@ -45,7 +45,7 @@ class EncodingOp:
 
     message_index: int
     matrix: UnitaryMatrix
-    acts_on: tuple[int, int] = (1, 2)
+    acts_on: tuple[int, int]
 
 
 def encoding_op(message: int) -> EncodingOp:
@@ -84,15 +84,12 @@ class ReachabilityVerdict:
     """Outcome of a single-qubit reachability question.
 
     Exactly one of ``witness`` (when reachable) and ``obstruction`` (the
-    best achievable overlap magnitude, when not) is populated. The index
-    fields are filled in only by :func:`reachability_matrix`.
+    best achievable overlap magnitude, when not) is populated.
     """
 
     reachable: bool
     witness: UnitaryMatrix | None = None
     obstruction: float | None = None
-    source_index: int | None = None
-    target_index: int | None = None
 
 
 def _cofactors(source: StateVector, target: StateVector, qubit: int) -> tuple[np.ndarray, np.ndarray]:

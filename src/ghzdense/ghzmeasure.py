@@ -23,13 +23,13 @@ Indices may be Python or numpy integers; anything else is a ValueError.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import partial
 
 import numpy as np
 
 from .bases import Protocol, ghz_family
-from .qstate import _NAMED_GATES, StateVector, UnitaryMatrix, _checked, apply_on_subset
-from .qstate import embed_on_subset, measure_computational
+from .qstate import _NAMED_GATES, StateVector, UnitaryMatrix, _checked, _operator, apply_on_subset
+from .qstate import measure_computational
 
 _GHZ = ghz_family(3)
 
@@ -59,14 +59,9 @@ def disentangle(state: StateVector) -> StateVector:
     return _run_network(_GHZ, state)
 
 
-@cache
 def network_unitary() -> UnitaryMatrix:
-    """The whole network as one 8x8 operator (gates composed in order)."""
-    n = _GHZ.catalog.n_qubits
-    composite = np.eye(1 << n, dtype=np.complex128)
-    for name, qubits in _GHZ.network:
-        composite = embed_on_subset(_NAMED_GATES[name], qubits, n).entries @ composite
-    return UnitaryMatrix(composite)
+    """The whole network as one 8x8 operator: column j is the network run on ket j."""
+    return _operator(partial(_run_network, _GHZ), _GHZ.catalog.n_qubits)
 
 
 def decode(outcome: str) -> int:

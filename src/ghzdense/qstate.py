@@ -186,6 +186,7 @@ def basis_state(bits: str) -> StateVector:
     """Computational basis ket from its bit-string label, e.g. ``"011"``."""
     if not bits or any(c not in "01" for c in bits):
         raise ValueError(f"malformed bit string {bits!r}")
+    _checked(len(bits), "bit string length", 1, MAX_QUBITS)
     amps = np.zeros(1 << len(bits), dtype=np.complex128)
     amps[int(bits, 2)] = 1.0
     return StateVector(amps)
@@ -240,18 +241,23 @@ def apply_on_subset(state: StateVector, u: UnitaryMatrix, qubits: Sequence[int])
     return StateVector._from_unitary_output(np.ascontiguousarray(out.reshape(state.dim)))
 
 
-def embed_on_subset(u: UnitaryMatrix, qubits: Sequence[int], n_qubits: int) -> UnitaryMatrix:
-    """Full 2^n x 2^n matrix acting as ``u`` on ``qubits`` and identity elsewhere.
-
-    Built column by column, so it is only meant for small registers.
-    """
+def _operator(state_map, n_qubits: int) -> UnitaryMatrix:
+    """The 2^n x 2^n matrix whose column j is ``state_map`` applied to
+    computational ket j. Built column by column, so it is only meant for
+    small registers."""
     dim = 1 << _checked(n_qubits, "n_qubits", 1, MAX_QUBITS)
     full = np.empty((dim, dim), dtype=np.complex128)
     for col in range(dim):
         e = np.zeros(dim, dtype=np.complex128)
         e[col] = 1.0
-        full[:, col] = apply_on_subset(StateVector(e), u, qubits).amplitudes
+        full[:, col] = state_map(StateVector(e)).amplitudes
     return UnitaryMatrix(full)
+
+
+def embed_on_subset(u: UnitaryMatrix, qubits: Sequence[int], n_qubits: int) -> UnitaryMatrix:
+    """Full 2^n x 2^n matrix acting as ``u`` on ``qubits`` and identity
+    elsewhere; only meant for small registers."""
+    return _operator(lambda ket: apply_on_subset(ket, u, qubits), n_qubits)
 
 
 def measure_computational(state: StateVector, rng_seed) -> tuple[str, float]:

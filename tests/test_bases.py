@@ -50,6 +50,10 @@ class TestStateConstruction:
         for i in range(1, 9):
             assert_allclose(np.abs(phi_state(i).amplitudes), INV_SQRT8, atol=ATOL)
 
+    def test_phi_states_are_the_catalog_states(self):
+        for i in range(1, 9):
+            assert phi_state(i) is phi_catalog().state(i)
+
     def test_phi_sign_rows(self):
         signs = lambda i: tuple(int(np.sign(a.real)) for a in phi_state(i).amplitudes)
         assert signs(1) == (1, 1, 1, 1, 1, 1, 1, 1)

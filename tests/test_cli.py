@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ghzdense.bases import ghz_state, phi_catalog
+from ghzdense.bases import bell_catalog, ghz_state, phi_catalog
 from ghzdense.cli import CommandResult, _fmt, dispatch, main
 from ghzdense.encoding import reachability_matrix
 from ghzdense.qstate import basis_state, dump_state, fidelity_up_to_phase, load_state
@@ -99,6 +99,24 @@ class TestReachCommand:
 
     def test_rejects_bad_qubit(self):
         assert dispatch(["reach", "--basis", "ghz", "--qubit", "4"]).exit_code == 2
+
+    @pytest.mark.parametrize("qubit", [1, 2])
+    def test_bell_pairs_reach_each_other_through_either_qubit(self, qubit):
+        """The two-qubit half of the paper's contrast: one qubit reaches all
+        four Bell states, where ghz splits into two blocks of four."""
+        result = dispatch(["reach", "--basis", "bell", "--qubit", str(qubit)])
+        assert result.exit_code == 0
+        assert result.stdout.splitlines()[1:] == [f"bell{i}  1 1 1 1" for i in range(1, 5)]
+        payload = json.loads(dispatch(["reach", "--basis", "bell", "--qubit", str(qubit), "--json"]).stdout)
+        want = reachability_matrix(bell_catalog(), qubit)
+        assert np.array_equal(np.array(payload["reachable"]), want)
+        assert want.all()
+
+    @pytest.mark.parametrize("basis, qubit, bound", [("bell", 3, "[1, 2]"), ("ghz", 4, "[1, 3]")])
+    def test_out_of_range_qubit_names_the_catalog_range(self, basis, qubit, bound):
+        result = dispatch(["reach", "--basis", basis, "--qubit", str(qubit)])
+        assert result.exit_code == 2
+        assert "qubit" in result.stdout and bound in result.stdout
 
 
 class TestNetworkCommands:

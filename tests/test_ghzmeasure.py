@@ -21,6 +21,7 @@ from ghzdense.qstate import (
     StateVector,
     apply_on_subset,
     basis_state,
+    embed_on_subset,
     fidelity_up_to_phase,
     inner_product,
 )
@@ -44,6 +45,14 @@ class TestNetworkStructure:
 
     def test_network_unitary_matches_composed_oracle(self):
         assert_allclose(network_unitary().entries, _composed_oracle(), atol=1e-12)
+
+    def test_network_unitary_equals_the_embedded_gate_product(self):
+        # The gate-by-gate product of embedded matrices that network_unitary
+        # must reproduce bit for bit.
+        composite = np.eye(8, dtype=np.complex128)
+        for gate, qubits in ((CNOT, (1, 3)), (CNOT, (1, 2)), (HADAMARD, (1,))):
+            composite = embed_on_subset(gate, qubits, 3).entries @ composite
+        assert np.array_equal(network_unitary().entries, composite)
 
     def test_cnot_order_is_interchangeable(self):
         """The two controlled-NOTs share a control and have disjoint

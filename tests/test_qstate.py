@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -215,6 +217,26 @@ class TestApplyOnSubset:
         u = haar_random_unitary(2, rng)
         got = embed_on_subset(u, (2,), 3).entries
         assert_allclose(got, kron_embed(u.entries, (2,), 3), atol=1e-12)
+
+    @staticmethod
+    def _reference_embed(u, qubits, n):
+        # The column loop embed_on_subset must reproduce bit for bit.
+        dim = 1 << n
+        full = np.empty((dim, dim), dtype=np.complex128)
+        for col in range(dim):
+            e = np.zeros(dim, dtype=np.complex128)
+            e[col] = 1.0
+            full[:, col] = apply_on_subset(StateVector(e), u, qubits).amplitudes
+        return full
+
+    def test_embed_on_subset_equals_the_column_loop(self):
+        rng = np.random.default_rng(21)
+        gates = (HADAMARD, PAULI_Z, CNOT, haar_random_unitary(4, rng), haar_random_unitary(8, rng))
+        for n in (1, 2, 3):
+            for u in gates:
+                for qubits in itertools.permutations(range(1, n + 1), u.n_qubits):
+                    want = self._reference_embed(u, qubits, n)
+                    assert np.array_equal(embed_on_subset(u, qubits, n).entries, want)
 
 
 class TestTensor:

@@ -20,7 +20,14 @@ from ghzdense.encoding import (
 )
 from ghzdense.ghzmeasure import outcome_for_index
 from ghzdense.protocol import ChannelConfig, run_trials
-from ghzdense.qstate import CNOT, embed_on_subset, haar_random_unitary, load_state, measure_computational
+from ghzdense.qstate import (
+    CNOT,
+    basis_state,
+    embed_on_subset,
+    haar_random_unitary,
+    load_state,
+    measure_computational,
+)
 
 INT64_MAX = np.iinfo(np.int64).max
 
@@ -55,6 +62,7 @@ REJECTED = {
     "load_state amplitude index 4 of 2 qubits": lambda: load_state("nqubits 2\n4 1 0\n"),
     "run_trials trials=2**63": lambda: run_trials("ghz3", INT64_MAX + 1),
     "embed_on_subset n_qubits=2.0": lambda: embed_on_subset(CNOT, (1, 2), 2.0),
+    "basis_state 40 bits": lambda: basis_state("0" * 40),
 }
 
 
