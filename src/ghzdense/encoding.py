@@ -34,7 +34,8 @@ from .qstate import fidelity_up_to_phase
 
 REACH_ATOL = 1e-10  # Gram comparisons accumulate a few products
 _WITNESS_MIN_FIDELITY = 1.0 - 1e-9
-_ORACLE_BATCH = 50_000
+_ORACLE_BATCH = 50_000  # unitaries per Haar draw
+_ORACLE_CHUNK = 256  # unitaries per scoring product; bounds the overlaps at 256 x pairs
 
 _GHZ, _BELL = ghz_family(3), ghz_family(2)
 
@@ -125,6 +126,28 @@ def reachable_by_single_qubit(
     return ReachabilityVerdict(reachable=True, witness=witness)
 
 
+def _best_sampled_fidelities(pairs, qubit: int, samples, rng_seed) -> np.ndarray:
+    """Best fidelity (up to phase) for each (source, target) pair in
+    ``pairs``, over one shared set of ``samples`` Haar-random unitaries on
+    ``qubit``: the one scorer behind both oracle functions.
+
+    The overlap <target| (u (x) 1) |source> is sum_ab u_ab M_ab with
+    M = conj(Y) X^T, so stacking each pair's M as a column turns one
+    (chunk, 4) @ (4, pairs) product into every pair's overlaps.
+    """
+    samples = _checked(samples, "samples", 1)
+    cofactors = [_cofactors(source, target, qubit) for source, target in pairs]
+    coeffs = np.stack([(y.conj() @ x.T).ravel() for x, y in cofactors], axis=1)
+    rng = _rng(rng_seed)
+    best = np.zeros(coeffs.shape[1])
+    for start in range(0, samples, _ORACLE_BATCH):
+        batch = _haar_unitaries(min(samples - start, _ORACLE_BATCH), 2, rng).reshape(-1, 4)
+        for chunk in range(0, batch.shape[0], _ORACLE_CHUNK):
+            overlaps = np.abs(batch[chunk : chunk + _ORACLE_CHUNK] @ coeffs) ** 2
+            np.maximum(best, overlaps.max(axis=0), out=best)
+    return best
+
+
 def reachability_oracle(
     source: StateVector,
     target: StateVector,
@@ -138,20 +161,11 @@ def reachability_oracle(
 
     ``rng_seed`` is an integer seed >= 0 or a ``numpy.random.Generator``;
     anything else, bools and floats included, is a ``ValueError``.
-    Results are a deterministic function of the arguments.
+    Results are a deterministic function of the arguments. This is the
+    one-pair case of :func:`reachability_oracle_matrix`: the same seed
+    draws the same unitaries in both.
     """
-    samples = _checked(samples, "samples", 1)
-    x, y = _cofactors(source, target, qubit)
-    rng = _rng(rng_seed)
-    best = 0.0
-    remaining = samples
-    while remaining > 0:
-        batch = _haar_unitaries(min(remaining, _ORACLE_BATCH), 2, rng)
-        # |<target| (u (x) 1) |source>|^2, vectorized over the batch.
-        overlaps = np.einsum("id,nij,jd->n", y.conj(), batch, x)
-        best = max(best, float(np.max(np.abs(overlaps) ** 2)))
-        remaining -= batch.shape[0]
-    return best
+    return float(_best_sampled_fidelities([(source, target)], qubit, samples, rng_seed)[0])
 
 
 def reachability_matrix(catalog: BasisCatalog, qubit: int) -> np.ndarray:
@@ -167,19 +181,17 @@ def reachability_matrix(catalog: BasisCatalog, qubit: int) -> np.ndarray:
 
 
 def reachability_oracle_matrix(
-    catalog: BasisCatalog, qubit: int, samples: int = 10_000, rng_seed: int = 0
+    catalog: BasisCatalog, qubit: int, samples: int = 10_000, rng_seed=0
 ) -> np.ndarray:
     """Best sampled fidelity for every ordered catalog pair.
 
-    Each pair gets its own stream derived from (rng_seed, i, j), so the
-    matrix does not depend on evaluation order.
+    One stream from ``rng_seed`` (an integer >= 0 or a
+    ``numpy.random.Generator``) draws one set of ``samples`` unitaries,
+    and every pair is scored against that shared set, so entry
+    (i-1, j-1) equals ``reachability_oracle(catalog.state(i),
+    catalog.state(j), qubit, samples, rng_seed)``. Because the pairs share
+    their draws, an unlucky set lowers every reachable entry together.
     """
-    rng_seed = _checked(rng_seed, "rng_seed", 0)
-    k = len(catalog)
-    out = np.zeros((k, k))
-    for i in range(1, k + 1):
-        for j in range(1, k + 1):
-            out[i - 1, j - 1] = reachability_oracle(
-                catalog.state(i), catalog.state(j), qubit, samples, np.random.default_rng([rng_seed, i, j])
-            )
-    return out
+    states = [catalog.state(i) for i in range(1, len(catalog) + 1)]
+    best = _best_sampled_fidelities([(s, t) for s in states for t in states], qubit, samples, rng_seed)
+    return best.reshape(len(states), len(states))

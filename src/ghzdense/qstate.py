@@ -19,6 +19,9 @@ import numpy as np
 
 ATOL = 1e-12
 MAX_QUBITS = 20  # dense amplitude arrays; 2**20 is the supported ceiling
+# Dense 2^n x 2^n operators the package builds (embed_on_subset,
+# haar_random_unitary): 16 MB at the ceiling, against 8x8 in the protocols.
+_MAX_OPERATOR_QUBITS = 10
 
 
 def _checked(value, name: str, low, high=None, kind=int):
@@ -37,9 +40,11 @@ def _checked(value, name: str, low, high=None, kind=int):
     return value
 
 
-def _qubit_count(dim, name: str) -> int:
-    """n for an integer dimension ``dim`` = 2^n >= 2, the one dimension check."""
-    n = _checked(dim, name, 2).bit_length() - 1
+def _qubit_count(dim, name: str, max_qubits: int) -> int:
+    """n for an integer dimension ``dim`` = 2^n with 1 <= n <= ``max_qubits``,
+    the one dimension check. It reads only the integer, so a builder can
+    run it before it allocates."""
+    n = _checked(dim, name, 2, 1 << max_qubits).bit_length() - 1
     if dim != 1 << n:
         raise ValueError(f"{name} {dim} is not a power of two >= 2")
     return n
@@ -84,9 +89,7 @@ class StateVector:
         amps = _as_finite_complex(amplitudes, "amplitudes")
         if amps.ndim != 1:
             raise ValueError("amplitudes must be one-dimensional")
-        n = _qubit_count(amps.shape[0], "amplitude count")
-        if n > MAX_QUBITS:
-            raise ValueError(f"{n} qubits exceeds the supported maximum of {MAX_QUBITS}")
+        n = _qubit_count(amps.shape[0], "amplitude count", MAX_QUBITS)
         norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) > ATOL:
             raise ValueError(f"state norm {norm} deviates from 1 by more than {ATOL}")
@@ -140,7 +143,7 @@ class UnitaryMatrix:
         m = _as_finite_complex(entries, "entries")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("entries must form a square matrix")
-        _qubit_count(m.shape[0], "dimension")
+        _qubit_count(m.shape[0], "dimension", MAX_QUBITS)
         defect = float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))
         if defect > ATOL:
             raise ValueError(f"matrix is not unitary (max |U^H U - I| = {defect:.3e})")
@@ -244,8 +247,9 @@ def apply_on_subset(state: StateVector, u: UnitaryMatrix, qubits: Sequence[int])
 def _operator(state_map, n_qubits: int) -> UnitaryMatrix:
     """The 2^n x 2^n matrix whose column j is ``state_map`` applied to
     computational ket j. Built column by column, so it is only meant for
-    small registers."""
-    dim = 1 << _checked(n_qubits, "n_qubits", 1, MAX_QUBITS)
+    small registers: ``n_qubits`` above ``_MAX_OPERATOR_QUBITS`` is a
+    ``ValueError``."""
+    dim = 1 << _checked(n_qubits, "n_qubits", 1, _MAX_OPERATOR_QUBITS)
     full = np.empty((dim, dim), dtype=np.complex128)
     for col in range(dim):
         e = np.zeros(dim, dtype=np.complex128)
@@ -256,7 +260,7 @@ def _operator(state_map, n_qubits: int) -> UnitaryMatrix:
 
 def embed_on_subset(u: UnitaryMatrix, qubits: Sequence[int], n_qubits: int) -> UnitaryMatrix:
     """Full 2^n x 2^n matrix acting as ``u`` on ``qubits`` and identity
-    elsewhere; only meant for small registers."""
+    elsewhere; only meant for small registers, at most 10 qubits."""
     return _operator(lambda ket: apply_on_subset(ket, u, qubits), n_qubits)
 
 
@@ -285,14 +289,15 @@ def measure_computational(state: StateVector, rng_seed) -> tuple[str, float]:
 
 
 def haar_random_unitary(dim: int, rng_seed) -> UnitaryMatrix:
-    """Haar-distributed unitary of dimension ``dim`` (a power of two >= 2),
-    the one-matrix case of the package's batched QR sampler.
+    """Haar-distributed unitary of dimension ``dim`` (a power of two from 2
+    to 2^10), the one-matrix case of the package's batched QR sampler.
 
     ``rng_seed`` is an integer seed >= 0 or a ``numpy.random.Generator``,
     as in :func:`measure_computational`; a non-integer ``dim`` or seed is a
     ``ValueError``.
     """
-    return UnitaryMatrix(_haar_unitaries(1, 1 << _qubit_count(dim, "dimension"), _rng(rng_seed))[0])
+    n = _qubit_count(dim, "dimension", _MAX_OPERATOR_QUBITS)
+    return UnitaryMatrix(_haar_unitaries(1, 1 << n, _rng(rng_seed))[0])
 
 
 def dump_state(state: StateVector) -> str:

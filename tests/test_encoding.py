@@ -3,8 +3,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import kron_embed, random_state
-from ghzdense.bases import bell_state, ghz_catalog, ghz_state, phi_catalog, phi_state
+from ghzdense.bases import bell_catalog, bell_state, ghz_catalog, ghz_state, phi_catalog, phi_state
 from ghzdense.encoding import (
+    _ORACLE_BATCH,
     REACH_ATOL,
     EncodingOp,
     ReachabilityVerdict,
@@ -20,6 +21,7 @@ from ghzdense.qstate import (
     ATOL,
     PAULI_X,
     StateVector,
+    _haar_unitaries,
     apply_on_subset,
     basis_state,
     fidelity_up_to_phase,
@@ -298,3 +300,65 @@ class TestReachabilityOracle:
             ceiling = 1.0 if v.reachable else v.obstruction**2
             best = reachability_oracle(source, target, 2, samples=2_000, rng_seed=4)
             assert best <= ceiling + 1e-9
+
+
+# Every basis at every qubit: (catalog builder, qubit).
+CATALOG_QUBITS = [(ghz_catalog, q) for q in (1, 2, 3)] + [(phi_catalog, q) for q in (1, 2, 3)] + [
+    (bell_catalog, q) for q in (1, 2)
+]
+
+
+def _first_oracle_matrix(catalog, qubit, samples, rng):
+    """The first oracle's per-pair formula, kept as the reference: each
+    pair's overlaps by one einsum over Haar unitaries drawn from the one
+    stream ``rng``, in batches of ``_ORACLE_BATCH``."""
+    batches = range(0, samples, _ORACLE_BATCH)
+    unitaries = np.concatenate([_haar_unitaries(min(_ORACLE_BATCH, samples - s), 2, rng) for s in batches])
+    n = catalog.n_qubits
+    rows = [
+        np.moveaxis(catalog.state(i).amplitudes.reshape((2,) * n), qubit - 1, 0).reshape(2, -1)
+        for i in range(1, len(catalog) + 1)
+    ]
+    return np.array(
+        [[np.max(np.abs(np.einsum("id,nij,jd->n", y.conj(), unitaries, x)) ** 2) for y in rows] for x in rows]
+    )
+
+
+class TestReachabilityOracleMatrix:
+    """All pairs are scored against one shared set of Haar draws."""
+
+    @pytest.mark.parametrize("catalog_fn,qubit", CATALOG_QUBITS)
+    def test_every_entry_is_the_one_pair_oracle(self, catalog_fn, qubit):
+        cat = catalog_fn()
+        got = reachability_oracle_matrix(cat, qubit, samples=300, rng_seed=6)
+        for i in range(1, len(cat) + 1):
+            for j in range(1, len(cat) + 1):
+                want = reachability_oracle(cat.state(i), cat.state(j), qubit, samples=300, rng_seed=6)
+                assert abs(got[i - 1, j - 1] - want) <= 1e-12
+
+    @pytest.mark.parametrize("catalog_fn,qubit", [(ghz_catalog, 1), (phi_catalog, 2), (bell_catalog, 2)])
+    def test_matches_the_per_pair_formula_across_batches(self, catalog_fn, qubit):
+        # Two Haar batches, the second of 3 draws, and a partial scoring chunk.
+        samples = _ORACLE_BATCH + 3
+        rng, reference_rng = np.random.default_rng(11), np.random.default_rng(11)
+        got = reachability_oracle_matrix(catalog_fn(), qubit, samples=samples, rng_seed=rng)
+        want = _first_oracle_matrix(catalog_fn(), qubit, samples, reference_rng)
+        assert_allclose(got, want, rtol=0, atol=1e-12)
+        # Both drew every batch: the shared stream is left at the same point.
+        assert rng.random() == reference_rng.random()
+
+    @pytest.mark.parametrize("catalog_fn,qubit", CATALOG_QUBITS)
+    def test_never_beats_the_exact_optimum(self, catalog_fn, qubit):
+        cat = catalog_fn()
+        sampled = reachability_oracle_matrix(cat, qubit, samples=2_000, rng_seed=5)
+        for i in range(1, len(cat) + 1):
+            for j in range(1, len(cat) + 1):
+                v = reachable_by_single_qubit(cat.state(i), cat.state(j), qubit)
+                optimum = 1.0 if v.reachable else v.obstruction**2
+                assert sampled[i - 1, j - 1] <= optimum + 1e-12
+
+    def test_generator_seed_matches_its_integer_seed(self):
+        cat = phi_catalog()
+        from_int = reachability_oracle_matrix(cat, 1, samples=500, rng_seed=7)
+        from_generator = reachability_oracle_matrix(cat, 1, samples=500, rng_seed=np.random.default_rng(7))
+        assert np.array_equal(from_generator, from_int)

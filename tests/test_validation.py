@@ -22,6 +22,7 @@ from ghzdense.ghzmeasure import outcome_for_index
 from ghzdense.protocol import ChannelConfig, run_trials
 from ghzdense.qstate import (
     CNOT,
+    PAULI_X,
     basis_state,
     embed_on_subset,
     haar_random_unitary,
@@ -63,6 +64,9 @@ REJECTED = {
     "run_trials trials=2**63": lambda: run_trials("ghz3", INT64_MAX + 1),
     "embed_on_subset n_qubits=2.0": lambda: embed_on_subset(CNOT, (1, 2), 2.0),
     "basis_state 40 bits": lambda: basis_state("0" * 40),
+    "embed_on_subset n_qubits=20": lambda: embed_on_subset(PAULI_X, (1,), 20),
+    "haar_random_unitary(2**20, 0)": lambda: haar_random_unitary(2**20, 0),
+    "haar_random_unitary(2**40, 0)": lambda: haar_random_unitary(2**40, 0),
 }
 
 
