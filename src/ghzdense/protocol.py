@@ -14,9 +14,12 @@ transit are exposed; the receiver's qubit is ideal. The channel is thus a
 finite mixture of error patterns (16 for ghz3, 4 for bell2), and each
 pattern maps every basis state to another basis state, so the decode
 distribution ``C[m-1, j-1]`` (message m read as j) is exact: one
-state-vector exchange per pattern and message. Batches sample from C
-with one random stream per call, seeded by the channel: first the
-message counts, then each message's decoded counts in message order.
+state-vector exchange per pattern, made on message 1. The encoders are
+local Paulis and the receiver's network is Clifford, so a pattern adds
+the same bit syndrome (XOR) to every message's label, and the other rows
+are row 1 relabelled. Batches sample from C with one random stream per
+call, seeded by the channel: first the message counts, then each
+message's decoded counts in message order.
 
 Both are ``bases.ghz_family(n)``, n=3 and n=2. The label of message m is
 the readout its state gives: the sign bit (0 for '+'), then the tail of
@@ -34,7 +37,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -103,8 +106,8 @@ class TrialReport:
     ``messages_histogram`` counts the messages sent and
     ``decoded_histogram`` the messages decoded, entry m-1 for message m.
     ``expected_success_rate`` is the exact success probability the sampled
-    ``success_rate`` estimates: the mean diagonal of the decode
-    distribution, or its pinned message's entry.
+    ``success_rate`` estimates: the diagonal of the decode distribution,
+    which is the same for every message.
     """
 
     protocol: str
@@ -126,17 +129,22 @@ class TrialReport:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> TrialReport:
-        return cls(
-            protocol=str(data["protocol"]),
-            trials=int(data["trials"]),
-            successes=int(data["successes"]),
-            success_rate=float(data["success_rate"]),
-            expected_success_rate=float(data["expected_success_rate"]),
-            messages_histogram=tuple(int(c) for c in data["messages_histogram"]),
-            decoded_histogram=tuple(int(c) for c in data["decoded_histogram"]),
-            bits_per_transmitted_qubit=float(data["bits_per_transmitted_qubit"]),
-            seed=int(data["seed"]),
-        )
+        """Inverse of :meth:`to_json_dict`; a missing field or a value of
+        the wrong type raises ``ValueError``."""
+        try:
+            return cls(
+                protocol=str(data["protocol"]),
+                trials=_checked(data["trials"], "trials", 1),
+                successes=_checked(data["successes"], "successes", 0),
+                success_rate=float(data["success_rate"]),
+                expected_success_rate=float(data["expected_success_rate"]),
+                messages_histogram=tuple(_checked(c, "count", 0) for c in data["messages_histogram"]),
+                decoded_histogram=tuple(_checked(c, "count", 0) for c in data["decoded_histogram"]),
+                bits_per_transmitted_qubit=float(data["bits_per_transmitted_qubit"]),
+                seed=_checked(data["seed"], "seed", 0),
+            )
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed trial report: {exc!r}") from None
 
 
 @dataclass(frozen=True)
@@ -189,35 +197,37 @@ def _channel_terms(family: Protocol, channel: ChannelConfig) -> list[tuple[float
     return terms
 
 
-def _decode_distribution(
-    family: Protocol, channel: ChannelConfig, messages: Sequence[int]
-) -> np.ndarray:
-    """``C[m-1, j-1]``, the probability that message m is decoded as j, for
-    each of ``messages`` (other rows stay zero).
+def _decode_distribution(family: Protocol, channel: ChannelConfig) -> np.ndarray:
+    """``C[m-1, j-1]``, the probability that message m is decoded as j.
 
     Every pattern maps a basis state to a basis state, so one exchange per
-    pattern and message gives its outcome with certainty."""
+    pattern gives message 1's outcome with certainty. The encoders are
+    local Paulis and the network is Clifford, so a pattern XORs the same
+    syndrome into every message's label: row m is row 1 relabelled,
+    ``C[m, j] = C[1, label(m) XOR label(j)]``."""
     k = len(family.catalog)
     # Called through the module-level names, so whatever is bound to them
     # (such as the span wrappers of perfbench/tracer.py) runs.
     measure = bell_measure if family is _BELL else ghz_measure
     readout = _rng(0)  # outcomes are certain; the seed is irrelevant
-    terms = _channel_terms(family, channel)
-    dist = np.zeros((k, k))
-    for m in messages:
-        sent = _encode(family, m)
-        for weight, errors in terms:
-            state = sent
-            for q, g in errors:
-                state = apply_on_subset(state, _NAMED_GATES[g], (q,))
-            decoded, probability = measure(state, readout)
-            if abs(probability - 1.0) > 1e-9:
-                raise RuntimeError(
-                    f"errors {errors} leave message {m} decoded as {decoded} only with "
-                    f"probability {probability}; the channel must map basis states to basis states"
-                )
-            dist[m - 1, decoded - 1] += weight
-    return dist
+    sent = _encode(family, 1)
+    row = np.zeros(k)
+    for weight, errors in _channel_terms(family, channel):
+        state = sent
+        for q, g in errors:
+            state = apply_on_subset(state, _NAMED_GATES[g], (q,))
+        decoded, probability = measure(state, readout)
+        if abs(probability - 1.0) > 1e-9:
+            raise RuntimeError(
+                f"errors {errors} leave message 1 decoded as {decoded} only with "
+                f"probability {probability}; the channel must map basis states to basis states"
+            )
+        row[decoded - 1] += weight
+    # Equal-length bit strings sort as their integers: entry l is the message read as l.
+    by_label = np.array([family.decode_table[bits] for bits in sorted(family.decode_table)]) - 1
+    labels = np.empty_like(by_label)
+    labels[by_label] = np.arange(k)  # labels[m-1] is message m's readout as an integer
+    return row[by_label[labels[:, None] ^ labels]]
 
 
 def _one_exchange(protocol: str, message: int, channel: ChannelConfig) -> tuple[int, bool]:
@@ -244,38 +254,32 @@ def run_trials(
     """Run independent round trips and aggregate them.
 
     Messages are drawn uniformly (the capacity-optimal prior) unless
-    ``fixed_message`` pins them all to one value. The decoded messages are
-    drawn from the exact decode distribution, so the cost does not grow
-    with ``trials``. All draws come from one stream seeded by
-    ``channel.rng_seed``: the message counts (one multinomial draw, skipped
-    when a message is pinned), then each sent message's decoded counts,
-    in message order. Equal arguments give equal reports.
+    ``fixed_message`` pins them all to one value, which changes only the
+    message counts. The decoded messages are drawn from the exact decode
+    distribution, so the cost does not grow with ``trials``. All draws
+    come from one stream seeded by ``channel.rng_seed``: the message counts
+    (one multinomial draw, skipped when a message is pinned), then each
+    message's decoded counts, in message order; a message sent 0 times
+    draws nothing. Equal arguments give equal reports.
     """
     family = _family(protocol)
     # numpy's multinomial counts in int64
     trials = _checked(trials, "trials", 1, np.iinfo(np.int64).max)
     k = len(family.catalog)
-    if fixed_message is not None:
-        fixed_message = _checked(fixed_message, "fixed message", 1, k)
-    messages = range(1, k + 1) if fixed_message is None else (fixed_message,)
-    dist = _decode_distribution(family, channel, messages)
+    dist = _decode_distribution(family, channel)
     rng = _rng(channel.rng_seed)
-    sent = np.zeros(k, dtype=np.int64)
     if fixed_message is None:
-        sent[:] = rng.multinomial(trials, [1.0 / k] * k)
+        sent = rng.multinomial(trials, [1.0 / k] * k)
     else:
-        sent[fixed_message - 1] = trials
-    counts = np.zeros((k, k), dtype=np.int64)
-    for m in messages:
-        counts[m - 1] = rng.multinomial(sent[m - 1], dist[m - 1])
+        sent = trials * np.eye(k, dtype=np.int64)[_checked(fixed_message, "fixed message", 1, k) - 1]
+    counts = rng.multinomial(sent, dist)  # row m draws message m's decoded counts
     successes = int(np.trace(counts))
     return TrialReport(
         protocol=protocol,
         trials=trials,
         successes=successes,
         success_rate=successes / trials,
-        # Only the rows of ``messages`` are filled: this is their mean diagonal.
-        expected_success_rate=float(np.trace(dist)) / len(messages),
+        expected_success_rate=float(dist[0, 0]),
         messages_histogram=tuple(sent.tolist()),
         decoded_histogram=tuple(counts.sum(axis=0).tolist()),
         bits_per_transmitted_qubit=_capacity(family).bits_per_transmitted_qubit,

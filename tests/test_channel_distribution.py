@@ -33,31 +33,45 @@ WILSON_Z = 5.0
 
 
 def _full_distribution(name: str, channel: ChannelConfig) -> np.ndarray:
-    family = _family(name)
-    return _decode_distribution(family, channel, range(1, len(family.catalog) + 1))
+    return _decode_distribution(_family(name), channel)
 
 
 def _closed_form_rate(name: str, p: float) -> float:
     return (1 - p) ** 2 + (p / 3) ** 2 if name == "ghz3" else 1 - p
 
 
-def _born_reference(name: str, p: float) -> np.ndarray:
-    """Sum over every Pauli pattern of its weight times |<basis_j|E enc_m>|^2,
-    read from the catalog's states without the receiver's network."""
-    family = _family(name)
+def _patterns(family) -> list[tuple[tuple[int, str], ...]]:
+    """Every Pauli pattern on the transit qubits as ((qubit, error), ...),
+    the error-free one first."""
+    return [
+        tuple((q, g) for q, g in zip(family.transit, letters) if g != "I")
+        for letters in itertools.product("IXYZ", repeat=len(family.transit))
+    ]
+
+
+def _overlaps(family, errors) -> np.ndarray:
+    """|<basis_j|E enc_m>|^2 at [m-1, j-1] for the pattern E, read from the
+    catalog's states without the receiver's network."""
     paulis = {"X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
     k = len(family.catalog)
-    dist = np.zeros((k, k))
+    out = np.zeros((k, k))
     for m in range(1, k + 1):
-        for pattern in itertools.product("IXYZ", repeat=len(family.transit)):
-            state = _encode(family, m)
-            weight = 1.0
-            for q, g in zip(family.transit, pattern):
-                weight *= 1 - p if g == "I" else p / 3
-                if g != "I":
-                    state = apply_on_subset(state, paulis[g], (q,))
-            for j in range(1, k + 1):
-                dist[m - 1, j - 1] += weight * abs(inner_product(family.catalog.state(j), state)) ** 2
+        state = _encode(family, m)
+        for q, g in errors:
+            state = apply_on_subset(state, paulis[g], (q,))
+        for j in range(1, k + 1):
+            out[m - 1, j - 1] = abs(inner_product(family.catalog.state(j), state)) ** 2
+    return out
+
+
+def _born_reference(name: str, p: float) -> np.ndarray:
+    """Sum over every Pauli pattern of its weight times its overlaps."""
+    family = _family(name)
+    k = len(family.catalog)
+    dist = np.zeros((k, k))
+    for errors in _patterns(family):
+        weight = (1 - p) ** (len(family.transit) - len(errors)) * (p / 3) ** len(errors)
+        dist += weight * _overlaps(family, errors)
     return dist
 
 
@@ -110,6 +124,36 @@ def test_forced_phase_flip_is_the_partner_permutation():
     assert_array_equal(dist, np.eye(8)[np.array(PARTNER) - 1])
 
 
+FORCED = [(name, errors) for name in PROTOCOL_NAMES for errors in _patterns(_family(name))[1:]]
+
+
+@pytest.mark.parametrize(
+    "name, errors", FORCED, ids=[f"{n}-{''.join(f'{q}{g}' for q, g in e)}" for n, e in FORCED]
+)
+def test_forced_pattern_is_the_catalog_permutation(name, errors):
+    overlaps = _overlaps(_family(name), errors)
+    target = overlaps.argmax(axis=1)
+    assert sorted(target) == list(range(len(overlaps)))
+    assert_allclose(overlaps.max(axis=1), 1.0, rtol=0, atol=1e-12)
+    dist = _full_distribution(name, ChannelConfig(forced_errors=errors))
+    assert_array_equal(dist, np.eye(len(overlaps))[target])
+
+
+@pytest.mark.parametrize("name", PROTOCOL_NAMES)
+@pytest.mark.parametrize("p", [0.0, 0.05, 0.3, 0.7, 1.0])
+def test_errors_shift_every_label_by_one_syndrome(name, p):
+    """Row m of the reference is row 1 with labels XORed by message m's:
+    the physics that lets the decode distribution be built from one row."""
+    family = _family(name)
+    label = {m: int(bits, 2) for bits, m in family.decode_table.items()}
+    message = {v: m for m, v in label.items()}
+    reference = _born_reference(name, p)
+    relabelled = [
+        [reference[0, message[label[m] ^ label[j]] - 1] for j in sorted(label)] for m in sorted(label)
+    ]
+    assert_allclose(reference, relabelled, rtol=0, atol=1e-12)
+
+
 def test_pattern_counts():
     ghz, bell = _family("ghz3"), _family("bell2")
     assert len(_channel_terms(ghz, ChannelConfig())) == 1
@@ -148,6 +192,21 @@ def test_report_fields():
     assert pinned.successes == 0
 
 
+@pytest.mark.parametrize("fixed", [None, 3])
+def test_one_stream_draws_message_counts_then_each_row(fixed):
+    """The documented draw order, replayed one row at a time as the reference."""
+    channel = ChannelConfig(pauli_error_prob=0.3, rng_seed=17)
+    report = run_trials("ghz3", 5_000, channel, fixed_message=fixed)
+    rng = np.random.default_rng(17)
+    if fixed is None:
+        sent = rng.multinomial(5_000, [1 / 8] * 8)
+    else:
+        sent = [5_000 if m == fixed else 0 for m in range(1, 9)]
+    rows = [rng.multinomial(n, row) for n, row in zip(sent, _full_distribution("ghz3", channel))]
+    assert report.messages_histogram == tuple(sent)
+    assert report.decoded_histogram == tuple(np.sum(rows, axis=0))
+
+
 def test_single_exchange_is_a_one_trial_batch():
     channel = ChannelConfig(pauli_error_prob=0.6, rng_seed=3)
     for m in range(1, 9):
@@ -165,8 +224,10 @@ def test_cost_does_not_grow_with_trials(monkeypatch):
     run_trials("ghz3", 10, channel)
     few = len(calls)
     report = run_trials("ghz3", 1_000_000, channel)
-    assert len(calls) - few == few == 8 * 16
+    assert len(calls) - few == few == 16
     assert sum(report.messages_histogram) == 1_000_000
+    run_trials("ghz3", 1_000, channel, fixed_message=5)
+    assert len(calls) == 3 * 16
 
 
 def test_roundtrip_json_carries_exact_rate_and_decoded_counts():

@@ -19,7 +19,7 @@ from ghzdense.encoding import (
     reachable_by_single_qubit,
 )
 from ghzdense.ghzmeasure import outcome_for_index
-from ghzdense.protocol import ChannelConfig, run_trials
+from ghzdense.protocol import ChannelConfig, TrialReport, run_trials
 from ghzdense.qstate import (
     CNOT,
     PAULI_X,
@@ -31,6 +31,7 @@ from ghzdense.qstate import (
 )
 
 INT64_MAX = np.iinfo(np.int64).max
+REPORT = run_trials("bell2", 10).to_json_dict()
 
 REJECTED = {
     "encode(True)": lambda: encode(True),
@@ -67,6 +68,12 @@ REJECTED = {
     "embed_on_subset n_qubits=20": lambda: embed_on_subset(PAULI_X, (1,), 20),
     "haar_random_unitary(2**20, 0)": lambda: haar_random_unitary(2**20, 0),
     "haar_random_unitary(2**40, 0)": lambda: haar_random_unitary(2**40, 0),
+    "TrialReport.from_json_dict({})": lambda: TrialReport.from_json_dict({}),
+    "TrialReport.from_json_dict decoded_histogram=None": lambda: TrialReport.from_json_dict(
+        {**REPORT, "decoded_histogram": None}
+    ),
+    "TrialReport.from_json_dict trials=1.5": lambda: TrialReport.from_json_dict({**REPORT, "trials": 1.5}),
+    "TrialReport.from_json_dict trials=True": lambda: TrialReport.from_json_dict({**REPORT, "trials": True}),
 }
 
 
