@@ -64,7 +64,8 @@ class Protocol:
     """The n-qubit GHZ dense-coding protocol of :func:`ghz_family`. Message m
     applies ``encoders[m-1]`` to the ``transit`` qubits of catalog state 1,
     giving state m; ``network`` then turns it into the bits that
-    ``decode_table`` maps back to m."""
+    ``decode_table`` maps back to m. Its keys are listed in message order,
+    so the i-th key is message i's readout."""
 
     name: str
     catalog: BasisCatalog

@@ -64,12 +64,7 @@ def _cmd_bases_verify(args) -> CommandResult:
     report = verify_orthonormal(catalog)
     ok = report.within()
     if args.json:
-        payload = {
-            "basis": catalog.name,
-            "max_off_diagonal": report.max_off_diagonal,
-            "max_diagonal_deviation": report.max_diagonal_deviation,
-            "within_tolerance": ok,
-        }
+        payload = {"basis": catalog.name, **asdict(report), "within_tolerance": ok}
         return CommandResult(0 if ok else 1, json.dumps(payload, indent=2))
     lines = [
         f"basis {catalog.name}: {len(catalog)} states on {catalog.n_qubits} qubits",

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bases import BasisCatalog, Protocol, ghz_family
-from .qstate import StateVector, UnitaryMatrix, _checked, _haar_unitaries, _rng, apply_on_subset
+from .qstate import StateVector, UnitaryMatrix, _checked, _haar_unitaries, _rng, _split, apply_on_subset
 from .qstate import fidelity_up_to_phase
 
 REACH_ATOL = 1e-10  # Gram comparisons accumulate a few products
@@ -96,13 +96,9 @@ class ReachabilityVerdict:
 def _cofactors(source: StateVector, target: StateVector, qubit: int) -> tuple[np.ndarray, np.ndarray]:
     """For each state, the 2 x 2^(n-1) matrix whose rows are the
     (unnormalized) co-factors of the |0> and |1> branches of ``qubit``."""
-    n = source.n_qubits
-    if target.n_qubits != n:
-        raise ValueError(f"qubit counts differ: {n} vs {target.n_qubits}")
-    qubit = _checked(qubit, "qubit", 1, n)
-    return tuple(
-        np.moveaxis(s.amplitudes.reshape((2,) * n), qubit - 1, 0).reshape(2, -1) for s in (source, target)
-    )
+    if target.n_qubits != source.n_qubits:
+        raise ValueError(f"qubit counts differ: {source.n_qubits} vs {target.n_qubits}")
+    return tuple(_split(s, (qubit,))[1] for s in (source, target))
 
 
 def reachable_by_single_qubit(

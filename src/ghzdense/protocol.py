@@ -22,11 +22,8 @@ call, seeded by the channel: first the message counts, then each
 message's decoded counts in message order.
 
 Both are ``bases.ghz_family(n)``, n=3 and n=2. The label of message m is
-the readout its state gives: the sign bit (0 for '+'), then the tail of
-the pair's first ket. Labels of messages 1, 2, ...::
-
-    ghz3   000 100 011 111 010 110 001 101
-    bell2  00  10  01  11
+the readout its state gives; :mod:`ghzdense.ghzmeasure` lists the labels
+of both protocols.
 
 Integers may be Python or numpy ints and the error probability any real
 in [0, 1]; bools and other types, like every rejected input, raise
@@ -38,7 +35,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Mapping
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -129,22 +126,37 @@ class TrialReport:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> TrialReport:
-        """Inverse of :meth:`to_json_dict`; a missing field or a value of
-        the wrong type raises ``ValueError``."""
+        """Inverse of :meth:`to_json_dict`. A missing field, a value of the
+        wrong type or out of range, and a payload that contradicts itself
+        raise ``ValueError``: ``success_rate`` must be ``successes / trials``,
+        ``bits_per_transmitted_qubit`` the protocol's own, and each
+        histogram must hold one count per message, summing to ``trials``."""
+
+        def real(key, high=None):
+            return _checked(data[key], key, 0, high, kind=float)
+
         try:
-            return cls(
-                protocol=str(data["protocol"]),
-                trials=_checked(data["trials"], "trials", 1),
-                successes=_checked(data["successes"], "successes", 0),
-                success_rate=float(data["success_rate"]),
-                expected_success_rate=float(data["expected_success_rate"]),
+            family = _family(data["protocol"])
+            trials = _checked(data["trials"], "trials", 1)
+            report = cls(
+                protocol=family.name,
+                trials=trials,
+                successes=_checked(data["successes"], "successes", 0, trials),
+                success_rate=real("success_rate", 1),
+                expected_success_rate=real("expected_success_rate", 1),
                 messages_histogram=tuple(_checked(c, "count", 0) for c in data["messages_histogram"]),
                 decoded_histogram=tuple(_checked(c, "count", 0) for c in data["decoded_histogram"]),
-                bits_per_transmitted_qubit=float(data["bits_per_transmitted_qubit"]),
+                bits_per_transmitted_qubit=real("bits_per_transmitted_qubit"),
                 seed=_checked(data["seed"], "seed", 0),
             )
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed trial report: {exc!r}") from None
+        bits = _capacity(family).bits_per_transmitted_qubit
+        own = replace(report, success_rate=report.successes / trials, bits_per_transmitted_qubit=bits)
+        histograms = (report.messages_histogram, report.decoded_histogram)
+        if report != own or any(len(h) != len(family.catalog) or sum(h) != trials for h in histograms):
+            raise ValueError(f"trial report contradicts itself: {dict(data)!r}")
+        return report
 
 
 @dataclass(frozen=True)
@@ -203,15 +215,17 @@ def _decode_distribution(family: Protocol, channel: ChannelConfig) -> np.ndarray
     Every pattern maps a basis state to a basis state, so one exchange per
     pattern gives message 1's outcome with certainty. The encoders are
     local Paulis and the network is Clifford, so a pattern XORs the same
-    syndrome into every message's label: row m is row 1 relabelled,
-    ``C[m, j] = C[1, label(m) XOR label(j)]``."""
-    k = len(family.catalog)
+    syndrome into every message's label. With ``R[r]`` the probability
+    that message 1 reads out as the integer r, every row is R relabelled:
+    ``C[m, j] = R[label(m) XOR label(j) XOR label(1)]``, labels read from
+    ``decode_table``'s keys, which are listed in message order."""
+    labels = np.array([int(bits, 2) for bits in family.decode_table])  # message order
     # Called through the module-level names, so whatever is bound to them
     # (such as the span wrappers of perfbench/tracer.py) runs.
     measure = bell_measure if family is _BELL else ghz_measure
     readout = _rng(0)  # outcomes are certain; the seed is irrelevant
     sent = _encode(family, 1)
-    row = np.zeros(k)
+    row = np.zeros(len(labels))  # R, message 1's distribution by readout
     for weight, errors in _channel_terms(family, channel):
         state = sent
         for q, g in errors:
@@ -222,12 +236,8 @@ def _decode_distribution(family: Protocol, channel: ChannelConfig) -> np.ndarray
                 f"errors {errors} leave message 1 decoded as {decoded} only with "
                 f"probability {probability}; the channel must map basis states to basis states"
             )
-        row[decoded - 1] += weight
-    # Equal-length bit strings sort as their integers: entry l is the message read as l.
-    by_label = np.array([family.decode_table[bits] for bits in sorted(family.decode_table)]) - 1
-    labels = np.empty_like(by_label)
-    labels[by_label] = np.arange(k)  # labels[m-1] is message m's readout as an integer
-    return row[by_label[labels[:, None] ^ labels]]
+        row[labels[decoded - 1]] += weight
+    return row[labels[:, None] ^ labels ^ labels[0]]
 
 
 def _one_exchange(protocol: str, message: int, channel: ChannelConfig) -> tuple[int, bool]:

@@ -226,6 +226,18 @@ def _checked_axes(qubits: Sequence[int], n_qubits: int) -> tuple[int, ...]:
     return tuple(q - 1 for q in positions)
 
 
+def _split(state: StateVector, qubits: Sequence[int]) -> tuple[tuple[int, ...], np.ndarray]:
+    """The checked axes of ``qubits`` and the 2^k x 2^(n-k) amplitude
+    matrix whose row index is those qubits' bits, the first listed qubit
+    most significant, and whose column index is the other qubits' bits in
+    order: the package's one split of a register into a subset and the rest."""
+    axes = _checked_axes(qubits, state.n_qubits)
+    # One transpose, listed axes first: np.moveaxis builds the same order at several times the cost.
+    order = axes + tuple(a for a in range(state.n_qubits) if a not in axes)
+    psi = state.amplitudes.reshape((2,) * state.n_qubits).transpose(order)
+    return axes, psi.reshape(1 << len(axes), -1)
+
+
 def apply_on_subset(state: StateVector, u: UnitaryMatrix, qubits: Sequence[int]) -> StateVector:
     """Apply ``u`` to the listed qubits of ``state`` and identity elsewhere.
 
@@ -233,14 +245,10 @@ def apply_on_subset(state: StateVector, u: UnitaryMatrix, qubits: Sequence[int])
     the first listed qubit is the most significant bit of u's own index
     (for CNOT that makes it the control).
     """
-    axes = _checked_axes(qubits, state.n_qubits)
-    k = len(axes)
-    if u.dim != 1 << k:
-        raise ValueError(f"operator dimension {u.dim} does not match {k} qubit(s)")
-    psi = state.amplitudes.reshape((2,) * state.n_qubits)
-    psi = np.moveaxis(psi, axes, range(k))
-    out = u.entries @ psi.reshape(u.dim, -1)
-    out = np.moveaxis(out.reshape((2,) * state.n_qubits), range(k), axes)
+    axes, rows = _split(state, qubits)
+    if u.dim != rows.shape[0]:
+        raise ValueError(f"operator dimension {u.dim} does not match {len(axes)} qubit(s)")
+    out = np.moveaxis((u.entries @ rows).reshape((2,) * state.n_qubits), range(len(axes)), axes)
     return StateVector._from_unitary_output(np.ascontiguousarray(out.reshape(state.dim)))
 
 

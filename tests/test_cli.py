@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from ghzdense.bases import bell_catalog, ghz_state, phi_catalog
 from ghzdense.cli import CommandResult, _fmt, dispatch, main
-from ghzdense.encoding import reachability_matrix
+from ghzdense.encoding import reachability_matrix, reachability_oracle_matrix
 from ghzdense.qstate import basis_state, dump_state, fidelity_up_to_phase, load_state
 
 
@@ -54,6 +54,11 @@ class TestBasesCommands:
         result = dispatch(["bases", "dump", "--basis", "bell", "--index", "5"])
         assert result.exit_code == 2
 
+    def test_dump_rejects_prefix_without_number(self):
+        result = dispatch(["bases", "dump", "--basis", "ghz", "--index", "psi"])
+        assert result.exit_code == 2
+        assert "malformed state index" in result.stdout
+
 
 class TestEncodeCommand:
     def test_encode_message_7(self):
@@ -96,6 +101,15 @@ class TestReachCommand:
         reachable = np.array(payload["reachable"])
         assert np.all(fid[~reachable] <= 1e-12)
         assert np.all(np.diag(fid) > 0.5)
+
+    def test_oracle_text_rows_are_the_library_fidelities(self):
+        argv = ["reach", "--basis", "phi", "--qubit", "2", "--oracle", "--samples", "300", "--seed", "4"]
+        result = dispatch(argv)
+        assert result.exit_code == 0
+        lines = result.stdout.splitlines()
+        assert lines[9] == "best sampled fidelity (300 samples, seed 4):"
+        want = reachability_oracle_matrix(phi_catalog(), 2, 300, 4)
+        assert lines[10:] == [f"phi{i}  " + " ".join(_fmt(v) for v in row) for i, row in enumerate(want, 1)]
 
     def test_rejects_bad_qubit(self):
         assert dispatch(["reach", "--basis", "ghz", "--qubit", "4"]).exit_code == 2

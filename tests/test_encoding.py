@@ -188,6 +188,20 @@ class TestReachableBySingleQubit:
         with pytest.raises(ValueError):
             reachable_by_single_qubit(bell_state(1), ghz_state(2), 1)
 
+    @pytest.mark.parametrize("qubit", [0, 4])
+    def test_bad_qubit_message_names_the_range(self, qubit):
+        with pytest.raises(ValueError, match=rf"^qubit must lie in \[1, 3\], got {qubit}$"):
+            reachable_by_single_qubit(ghz_state(1), ghz_state(3), qubit)
+
+    def test_witness_that_misses_its_target_is_an_arithmetic_error(self, monkeypatch):
+        import ghzdense.encoding as encoding_mod
+
+        monkeypatch.setattr(encoding_mod, "fidelity_up_to_phase", lambda a, b: 0.5)
+        with pytest.raises(ArithmeticError, match="witness fidelity 0.5"):
+            reachable_by_single_qubit(ghz_state(1), ghz_state(3), 1)
+        # An unreachable pair is decided before any witness is built.
+        assert not reachable_by_single_qubit(ghz_state(1), ghz_state(5), 1).reachable
+
 
 class TestReachabilityMatrix:
     def test_ghz_qubit_1_block_structure(self):

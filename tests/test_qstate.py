@@ -105,6 +105,11 @@ class TestUnitaryMatrix:
     def test_matmul_composes(self):
         assert_allclose((PAULI_X @ PAULI_X).entries, np.eye(2), atol=ATOL)
 
+    def test_reprs_name_the_nonzero_kets_and_the_dimension(self):
+        assert repr(ghz_state(2)) == "StateVector(|000>: 0.707107+0j, |111>: -0.707107+0j)"
+        assert repr(StateVector([0.6, 0.8j])) == "StateVector(|0>: 0.6+0j, |1>: 0+0.8j)"
+        assert repr(CNOT) == "UnitaryMatrix(dim=4)"
+
 
 # ---------------------------------------------------------------------------
 # inner products and fidelity

@@ -6,6 +6,9 @@ ints; bools, floats and other types are rejected. Seeds are integers
 rejection is a ``ValueError``, which the CLI turns into exit code 2.
 """
 
+import json
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -74,13 +77,42 @@ REJECTED = {
     ),
     "TrialReport.from_json_dict trials=1.5": lambda: TrialReport.from_json_dict({**REPORT, "trials": 1.5}),
     "TrialReport.from_json_dict trials=True": lambda: TrialReport.from_json_dict({**REPORT, "trials": True}),
+    "basis_state('')": lambda: basis_state(""),
+    "basis_state('012')": lambda: basis_state("012"),
 }
+
+# Payloads with every field present but wrong in type, range or
+# against each other; REPORT is bell2, 10 trials, 10 successes.
+CONTRADICTORY_REPORTS = {
+    "protocol=None": {"protocol": None},
+    "protocol='nope'": {"protocol": "nope"},
+    "success_rate=True": {"success_rate": True},
+    "success_rate=nan": {"success_rate": float("nan")},
+    "successes=3 with success_rate=1.0": {"successes": 3},
+    "successes=99 of 10 trials": {"successes": 99},
+    "messages_histogram of 5 entries": {"messages_histogram": [*REPORT["messages_histogram"], 0]},
+    "decoded_histogram not summing to trials": {"decoded_histogram": [*REPORT["decoded_histogram"][:-1], 11]},
+    "expected_success_rate=7.0": {"expected_success_rate": 7.0},
+    "bits_per_transmitted_qubit='2.0'": {"bits_per_transmitted_qubit": "2.0"},
+}
+REJECTED.update(
+    (f"TrialReport.from_json_dict {name}", partial(TrialReport.from_json_dict, {**REPORT, **edit}))
+    for name, edit in CONTRADICTORY_REPORTS.items()
+)
 
 
 @pytest.mark.parametrize("call", REJECTED.values(), ids=REJECTED.keys())
 def test_rejected_with_value_error(call):
     with pytest.raises(ValueError):
         call()
+
+
+@pytest.mark.parametrize("protocol", ["ghz3", "bell2"])
+@pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("seed", [0, 5, 123])
+def test_trial_reports_pass_the_consistency_checks_exactly(protocol, p, seed):
+    payload = json.loads(json.dumps(run_trials(protocol, 1000, ChannelConfig(p, seed)).to_json_dict()))
+    assert TrialReport.from_json_dict(payload).to_json_dict() == payload
 
 
 MALFORMED_FORCED_ERRORS = {
