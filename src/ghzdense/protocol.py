@@ -49,6 +49,7 @@ _BY_NAME = {family.name: family for family in (ghz_family(3), _BELL)}
 PROTOCOL_NAMES = tuple(_BY_NAME)
 
 _ERRORS = ("X", "Y", "Z")  # the Pauli errors a qubit in transit can suffer
+_MAX_TRIALS = np.iinfo(np.int64).max  # numpy's multinomial counts in int64
 
 # Outcome of the two-qubit disentangler (CNOT(1,2) then H(1)) -> message.
 BELL_DECODE_TABLE = _BELL.decode_table
@@ -137,7 +138,7 @@ class TrialReport:
 
         try:
             family = _family(data["protocol"])
-            trials = _checked(data["trials"], "trials", 1)
+            trials = _checked(data["trials"], "trials", 1, _MAX_TRIALS)
             report = cls(
                 protocol=family.name,
                 trials=trials,
@@ -273,8 +274,7 @@ def run_trials(
     draws nothing. Equal arguments give equal reports.
     """
     family = _family(protocol)
-    # numpy's multinomial counts in int64
-    trials = _checked(trials, "trials", 1, np.iinfo(np.int64).max)
+    trials = _checked(trials, "trials", 1, _MAX_TRIALS)
     k = len(family.catalog)
     dist = _decode_distribution(family, channel)
     rng = _rng(channel.rng_seed)

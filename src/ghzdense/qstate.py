@@ -217,25 +217,21 @@ def tensor(u: UnitaryMatrix, v: UnitaryMatrix) -> UnitaryMatrix:
     return UnitaryMatrix(np.kron(u.entries, v.entries))
 
 
-def _checked_axes(qubits: Sequence[int], n_qubits: int) -> tuple[int, ...]:
-    positions = tuple(_checked(q, "qubit", 1, n_qubits) for q in qubits)
-    if not positions:
-        raise ValueError("qubit subset is empty")
-    if len(set(positions)) != len(positions):
-        raise ValueError(f"qubit positions must be distinct, got {positions}")
-    return tuple(q - 1 for q in positions)
-
-
 def _split(state: StateVector, qubits: Sequence[int]) -> tuple[tuple[int, ...], np.ndarray]:
-    """The checked axes of ``qubits`` and the 2^k x 2^(n-k) amplitude
-    matrix whose row index is those qubits' bits, the first listed qubit
-    most significant, and whose column index is the other qubits' bits in
-    order: the package's one split of a register into a subset and the rest."""
-    axes = _checked_axes(qubits, state.n_qubits)
-    # One transpose, listed axes first: np.moveaxis builds the same order at several times the cost.
-    order = axes + tuple(a for a in range(state.n_qubits) if a not in axes)
-    psi = state.amplitudes.reshape((2,) * state.n_qubits).transpose(order)
-    return axes, psi.reshape(1 << len(axes), -1)
+    """The axis order that puts ``qubits``' axes first and the other axes
+    after them in order, and the 2^k x 2^(n-k) amplitude matrix it makes:
+    row index those qubits' bits, the first listed qubit most significant,
+    column index the other qubits' bits. The package's one split of a
+    register into a subset and the rest, and its one qubit-subset check;
+    transposing the (2,) * n array by the inverse order undoes the split."""
+    n = state.n_qubits
+    axes = tuple(_checked(q, "qubit", 1, n) - 1 for q in qubits)
+    if not axes:
+        raise ValueError("qubit subset is empty")
+    if len(set(axes)) != len(axes):
+        raise ValueError(f"qubit positions must be distinct, got {tuple(a + 1 for a in axes)}")
+    order = axes + tuple(a for a in range(n) if a not in axes)
+    return order, state.amplitudes.reshape((2,) * n).transpose(order).reshape(1 << len(axes), -1)
 
 
 def apply_on_subset(state: StateVector, u: UnitaryMatrix, qubits: Sequence[int]) -> StateVector:
@@ -245,11 +241,13 @@ def apply_on_subset(state: StateVector, u: UnitaryMatrix, qubits: Sequence[int])
     the first listed qubit is the most significant bit of u's own index
     (for CNOT that makes it the control).
     """
-    axes, rows = _split(state, qubits)
+    order, rows = _split(state, qubits)
     if u.dim != rows.shape[0]:
-        raise ValueError(f"operator dimension {u.dim} does not match {len(axes)} qubit(s)")
-    out = np.moveaxis((u.entries @ rows).reshape((2,) * state.n_qubits), range(len(axes)), axes)
-    return StateVector._from_unitary_output(np.ascontiguousarray(out.reshape(state.dim)))
+        raise ValueError(f"operator dimension {u.dim} does not match {len(qubits)} qubit(s)")
+    inverse = tuple(map(order.index, range(state.n_qubits)))
+    out = (u.entries @ rows).reshape((2,) * state.n_qubits).transpose(inverse)
+    # All axes have length 2: reshape copies a permuted array to C order, and an unpermuted one is the fresh product.
+    return StateVector._from_unitary_output(out.reshape(state.dim))
 
 
 def _operator(state_map, n_qubits: int) -> UnitaryMatrix:

@@ -7,7 +7,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from conftest import kron_embed, random_state
 from ghzdense.bases import catalog_by_name, ghz_family
@@ -92,6 +92,14 @@ def test_apply_on_subset_matches_kron_embed(case):
     gate = haar_random_unitary(1 << len(qubits), rng)
     got = apply_on_subset(state, gate, qubits).amplitudes
     assert_allclose(got, kron_embed(gate.entries, qubits, n) @ state.amplitudes, atol=1e-12)
+    # Reference: the split and merge done with np.moveaxis give the same bits; the result is a
+    # C-contiguous, read-only array.
+    axes, k = [q - 1 for q in qubits], len(qubits)
+    rows = np.moveaxis(state.amplitudes.reshape((2,) * n), axes, range(k)).reshape(1 << k, -1)
+    merged = np.moveaxis((gate.entries @ rows).reshape((2,) * n), range(k), axes)
+    assert_array_equal(got, merged.reshape(-1))
+    assert got.flags.c_contiguous
+    assert not got.flags.writeable
 
 
 @given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.floats(0.0, 0.9))

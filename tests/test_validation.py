@@ -94,6 +94,12 @@ CONTRADICTORY_REPORTS = {
     "decoded_histogram not summing to trials": {"decoded_histogram": [*REPORT["decoded_histogram"][:-1], 11]},
     "expected_success_rate=7.0": {"expected_success_rate": 7.0},
     "bits_per_transmitted_qubit='2.0'": {"bits_per_transmitted_qubit": "2.0"},
+    "trials=2**70 with histograms to match": {
+        "trials": 2**70,
+        "successes": 2**70,
+        "messages_histogram": [2**68] * 4,
+        "decoded_histogram": [2**68] * 4,
+    },
 }
 REJECTED.update(
     (f"TrialReport.from_json_dict {name}", partial(TrialReport.from_json_dict, {**REPORT, **edit}))
@@ -112,6 +118,12 @@ def test_rejected_with_value_error(call):
 @pytest.mark.parametrize("seed", [0, 5, 123])
 def test_trial_reports_pass_the_consistency_checks_exactly(protocol, p, seed):
     payload = json.loads(json.dumps(run_trials(protocol, 1000, ChannelConfig(p, seed)).to_json_dict()))
+    assert TrialReport.from_json_dict(payload).to_json_dict() == payload
+
+
+def test_trial_report_at_the_trial_ceiling_round_trips():
+    # run_trials and from_json_dict share one ceiling: int64 max is the largest count either accepts.
+    payload = json.loads(json.dumps(run_trials("bell2", INT64_MAX, ChannelConfig(0.2, 1)).to_json_dict()))
     assert TrialReport.from_json_dict(payload).to_json_dict() == payload
 
 
