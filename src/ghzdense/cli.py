@@ -15,9 +15,9 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from collections.abc import Sequence
 
-from .bases import _CATALOGS, catalog_by_name, ghz_catalog, verify_orthonormal
+from .bases import _CATALOGS, BasisCatalog, catalog_by_name, ghz_catalog, verify_orthonormal
 from .encoding import encode, reachability_matrix, reachability_oracle_matrix
-from .ghzmeasure import GATE_SEQUENCE, OUTCOME_TABLE, disentangle
+from .ghzmeasure import DECODE_TABLE, GATE_SEQUENCE, disentangle
 from .protocol import PROTOCOL_NAMES, ChannelConfig, _family, capacity_summary, run_trials
 from .qstate import ATOL, _checked, dump_state, load_state
 
@@ -46,69 +46,74 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
-def _parse_state_index(text: str, basis: str, count: int) -> int:
+def _text(value) -> str:
+    """One JSON report value as text: floats via :func:`_fmt`, histograms
+    as ``message:count`` pairs."""
+    if isinstance(value, float):
+        return _fmt(value)
+    if isinstance(value, list):
+        return " ".join(f"{m}:{count}" for m, count in enumerate(value, start=1))
+    return str(value)
+
+
+def _report(args, payload, lines: list[str], exit_code: int = 0) -> CommandResult:
+    """The one exit for report commands: ``payload`` as JSON under ``--json``,
+    else the text ``lines``."""
+    return CommandResult(exit_code, json.dumps(payload, indent=2) if args.json else "\n".join(lines))
+
+
+def _parse_state_index(text: str, catalog: BasisCatalog) -> int:
     """Accept both bare numbers ('3') and prefixed names ('psi3')."""
     raw = str(text).strip().lower()
     head = raw.rstrip("0123456789")
     digits = raw[len(head):]
-    expected = _INDEX_PREFIX[basis]
-    if head and head != expected:
-        raise ValueError(f"index prefix {head!r} does not name a {basis} state; use e.g. {expected}3 or 3")
-    if not digits:
+    expected = _INDEX_PREFIX[catalog.name]
+    if head.isalpha() and head != expected:
+        raise ValueError(f"index prefix {head!r} does not name a {catalog.name} state; use e.g. {expected}3 or 3")
+    if head not in ("", expected) or not digits:
         raise ValueError(f"malformed state index {text!r}")
-    return _checked(int(digits), "index", 1, count)
+    return _checked(int(digits), "index", 1, len(catalog))
 
 
 def _cmd_bases_verify(args) -> CommandResult:
     catalog = catalog_by_name(args.basis)
     report = verify_orthonormal(catalog)
     ok = report.within()
-    if args.json:
-        payload = {"basis": catalog.name, **asdict(report), "within_tolerance": ok}
-        return CommandResult(0 if ok else 1, json.dumps(payload, indent=2))
+    payload = {"basis": catalog.name, **asdict(report), "within_tolerance": ok}
     lines = [
         f"basis {catalog.name}: {len(catalog)} states on {catalog.n_qubits} qubits",
         f"max |<i|j>|, i != j:  {_fmt(report.max_off_diagonal)}",
         f"max |1 - <i|i>|:      {_fmt(report.max_diagonal_deviation)}",
         f"orthonormal within {ATOL:g}: {'yes' if ok else 'NO'}",
     ]
-    return CommandResult(0 if ok else 1, "\n".join(lines))
+    return _report(args, payload, lines, 0 if ok else 1)
 
 
 def _cmd_bases_dump(args) -> CommandResult:
     catalog = catalog_by_name(args.basis)
-    index = _parse_state_index(args.index, args.basis, len(catalog))
+    index = _parse_state_index(args.index, catalog)
     return CommandResult(0, dump_state(catalog.state(index)).rstrip("\n"))
 
 
 def _cmd_encode(args) -> CommandResult:
-    message = _parse_state_index(args.message, "ghz", len(ghz_catalog()))
+    message = _parse_state_index(args.message, ghz_catalog())
     return CommandResult(0, dump_state(encode(message)).rstrip("\n"))
 
 
-def _labels(basis: str, count: int) -> list[str]:
-    prefix = _INDEX_PREFIX[basis]
-    return [f"{prefix}{i}" for i in range(1, count + 1)]
+def _labels(catalog: BasisCatalog) -> list[str]:
+    prefix = _INDEX_PREFIX[catalog.name]
+    return [f"{prefix}{i}" for i in range(1, len(catalog) + 1)]
 
 
 def _cmd_reach(args) -> CommandResult:
     catalog = catalog_by_name(args.basis)
     matrix = reachability_matrix(catalog, args.qubit)
-    fidelities = None
-    if args.oracle:
-        fidelities = reachability_oracle_matrix(catalog, args.qubit, args.samples, args.seed)
-    if args.json:
-        payload = {
-            "basis": catalog.name,
-            "qubit": args.qubit,
-            "reachable": [[bool(v) for v in row] for row in matrix],
-        }
-        if fidelities is not None:
-            payload["samples"] = args.samples
-            payload["seed"] = args.seed
-            payload["max_fidelity"] = [[float(v) for v in row] for row in fidelities]
-        return CommandResult(0, json.dumps(payload, indent=2))
-    labels = _labels(args.basis, len(catalog))
+    payload = {
+        "basis": catalog.name,
+        "qubit": args.qubit,
+        "reachable": [[bool(v) for v in row] for row in matrix],
+    }
+    labels = _labels(catalog)
     width = max(len(lb) for lb in labels)
     lines = [
         f"single-qubit reachability (basis {catalog.name}, qubit {args.qubit}); "
@@ -117,12 +122,16 @@ def _cmd_reach(args) -> CommandResult:
     for label, row in zip(labels, matrix):
         cells = " ".join("1" if v else "0" for v in row)
         lines.append(f"{label:<{width}}  {cells}")
-    if fidelities is not None:
+    if args.oracle:
+        fidelities = reachability_oracle_matrix(catalog, args.qubit, args.samples, args.seed)
+        payload["samples"] = args.samples
+        payload["seed"] = args.seed
+        payload["max_fidelity"] = [[float(v) for v in row] for row in fidelities]
         lines.append(f"best sampled fidelity ({args.samples} samples, seed {args.seed}):")
         for label, row in zip(labels, fidelities):
             cells = " ".join(_fmt(v) for v in row)
             lines.append(f"{label:<{width}}  {cells}")
-    return CommandResult(0, "\n".join(lines))
+    return _report(args, payload, lines)
 
 
 def _cmd_network_show(args) -> CommandResult:
@@ -133,7 +142,7 @@ def _cmd_network_show(args) -> CommandResult:
         else:
             lines.append(f"  {name} qubit={qubits[0]}")
     lines.append("truth table (ghz index -> measured bits):")
-    for label, outcome in zip(_labels("ghz", len(OUTCOME_TABLE)), OUTCOME_TABLE.values()):
+    for label, outcome in zip(_labels(ghz_catalog()), DECODE_TABLE):
         lines.append(f"  {label} -> {outcome}")
     return CommandResult(0, "\n".join(lines))
 
@@ -148,37 +157,20 @@ def _cmd_roundtrip(args) -> CommandResult:
     channel = ChannelConfig(pauli_error_prob=args.noise, rng_seed=args.seed)
     fixed = None
     if args.message is not None:
-        catalog = _family(args.protocol).catalog
-        fixed = _parse_state_index(args.message, catalog.name, len(catalog))
-    report = run_trials(args.protocol, args.trials, channel, fixed_message=fixed)
-    if args.json:
-        return CommandResult(0, json.dumps(report.to_json_dict(), indent=2))
-    histogram = " ".join(
-        f"{m}:{count}" for m, count in enumerate(report.messages_histogram, start=1)
-    )
-    lines = [
-        f"protocol                    {report.protocol}",
-        f"trials                      {report.trials}",
-        f"successes                   {report.successes}",
-        f"success_rate                {_fmt(report.success_rate)}",
-        f"messages_histogram          {histogram}",
-        f"bits_per_transmitted_qubit  {_fmt(report.bits_per_transmitted_qubit)}",
-        f"seed                        {report.seed}",
-    ]
-    return CommandResult(0, "\n".join(lines))
+        fixed = _parse_state_index(args.message, _family(args.protocol).catalog)
+    payload = run_trials(args.protocol, args.trials, channel, fixed_message=fixed).to_json_dict()
+    return _report(args, payload, [f"{key:<28}{_text(value)}" for key, value in payload.items()])
 
 
 def _cmd_capacity(args) -> CommandResult:
     rows = capacity_summary()
-    if args.json:
-        return CommandResult(0, json.dumps([asdict(r) for r in rows], indent=2))
     lines = ["protocol  messages  qubits_transmitted  total_bits  bits_per_transmitted_qubit"]
     for r in rows:
         lines.append(
             f"{r.protocol:<8}  {r.message_count:<8}  {r.qubits_transmitted:<18}  "
             f"{r.total_bits:<10.1f}  {r.bits_per_transmitted_qubit:.1f}"
         )
-    return CommandResult(0, "\n".join(lines))
+    return _report(args, [asdict(r) for r in rows], lines)
 
 
 def _build_parser() -> _Parser:

@@ -34,10 +34,9 @@ from .qstate import measure_computational
 _GHZ = ghz_family(3)
 
 GATE_SEQUENCE = _GHZ.network
-# Measurement outcome (bits of qubits 1, 2, 3) -> GHZ index. This is the
-# contract; tests re-derive it from the network itself.
+# Measurement outcome (bits of qubits 1, 2, 3) -> GHZ index, keys in message
+# order. This is the contract; tests re-derive it from the network itself.
 DECODE_TABLE = _GHZ.decode_table
-OUTCOME_TABLE = {index: outcome for outcome, index in DECODE_TABLE.items()}
 
 
 def _run_network(family: Protocol, state: StateVector) -> StateVector:
@@ -74,7 +73,7 @@ def decode(outcome: str) -> int:
 def outcome_for_index(index: int) -> str:
     """Bit string the network produces for GHZ state ``index`` (the
     inverse of :func:`decode`); this is the classical label of a message."""
-    return OUTCOME_TABLE[_checked(index, "index", 1, len(OUTCOME_TABLE))]
+    return tuple(DECODE_TABLE)[_checked(index, "index", 1, len(DECODE_TABLE)) - 1]
 
 
 def ghz_measure(state: StateVector, rng_seed) -> tuple[int, float]:
@@ -91,4 +90,4 @@ def ghz_measure(state: StateVector, rng_seed) -> tuple[int, float]:
 def index_distribution(state: StateVector) -> np.ndarray:
     """Probability of each GHZ index (entry i-1 for index i), no sampling."""
     probs = disentangle(state).probabilities()
-    return np.array([probs[int(outcome, 2)] for outcome in OUTCOME_TABLE.values()])
+    return np.array([probs[int(outcome, 2)] for outcome in DECODE_TABLE])

@@ -237,12 +237,24 @@ def test_roundtrip_json_carries_exact_rate_and_decoded_counts():
     assert sum(payload["decoded_histogram"]) == 300
     assert TrialReport.from_json_dict(payload).to_json_dict() == payload
     text = cli.dispatch(argv).stdout
-    assert [line.split()[0] for line in text.splitlines()] == [
+    rows = [line.split(maxsplit=1) for line in text.splitlines()]
+    assert [key for key, _ in rows] == [
         "protocol",
         "trials",
         "successes",
         "success_rate",
+        "expected_success_rate",
         "messages_histogram",
+        "decoded_histogram",
         "bits_per_transmitted_qubit",
         "seed",
     ]
+
+    def rendered(value):
+        if isinstance(value, float):
+            return cli._fmt(value)
+        if isinstance(value, list):
+            return " ".join(f"{m}:{count}" for m, count in enumerate(value, start=1))
+        return str(value)
+
+    assert dict(rows) == {key: rendered(value) for key, value in payload.items()}

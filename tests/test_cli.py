@@ -48,7 +48,7 @@ class TestBasesCommands:
     def test_dump_rejects_foreign_prefix(self):
         result = dispatch(["bases", "dump", "--basis", "ghz", "--index", "bell2"])
         assert result.exit_code == 2
-        assert "error" in result.stdout
+        assert result.stdout.startswith("error: index prefix 'bell' does not name a ghz state")
 
     def test_dump_rejects_out_of_range(self):
         result = dispatch(["bases", "dump", "--basis", "bell", "--index", "5"])
@@ -58,6 +58,12 @@ class TestBasesCommands:
         result = dispatch(["bases", "dump", "--basis", "ghz", "--index", "psi"])
         assert result.exit_code == 2
         assert "malformed state index" in result.stdout
+
+    @pytest.mark.parametrize("index", ["3.0", "-1", "+3", "psi-3"])
+    def test_dump_rejects_non_letter_prefix_as_malformed(self, index):
+        result = dispatch(["bases", "dump", "--basis", "ghz", "--index", index])
+        assert result.exit_code == 2
+        assert result.stdout == f"error: malformed state index {index!r}"
 
 
 class TestEncodeCommand:

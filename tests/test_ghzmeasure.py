@@ -7,7 +7,6 @@ from ghzdense.bases import ghz_catalog, ghz_state
 from ghzdense.ghzmeasure import (
     DECODE_TABLE,
     GATE_SEQUENCE,
-    OUTCOME_TABLE,
     decode,
     disentangle,
     ghz_measure,
@@ -129,7 +128,7 @@ class TestDecodeTable:
         assert sorted(DECODE_TABLE.values()) == list(range(1, 9))
         assert len(DECODE_TABLE) == 8
         for bits, idx in DECODE_TABLE.items():
-            assert OUTCOME_TABLE[idx] == bits
+            assert outcome_for_index(idx) == bits
 
     def test_table_rederivable_from_network(self):
         """The decode table is forced by the network itself: running each
