@@ -22,6 +22,7 @@ from .protocol import PROTOCOL_NAMES, ChannelConfig, _family, capacity_summary, 
 from .qstate import ATOL, _checked, dump_state, load_state
 
 _INDEX_PREFIX = {"ghz": "psi", "phi": "phi", "bell": "bell"}
+_MAX_INDEX_DIGITS = 20  # longer indices are echoed shortened in the range error
 
 
 @dataclass(frozen=True)
@@ -72,6 +73,10 @@ def _parse_state_index(text: str, catalog: BasisCatalog) -> int:
         raise ValueError(f"index prefix {head!r} does not name a {catalog.name} state; use e.g. {expected}3 or 3")
     if head not in ("", expected) or not digits:
         raise ValueError(f"malformed state index {text!r}")
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > _MAX_INDEX_DIGITS:  # out of range, and too long to echo or to pass to int()
+        shown = f"{digits[:8]}...{digits[-4:]} ({len(digits)} digits)"
+        raise ValueError(f"index must lie in [1, {len(catalog)}], got {shown}")
     return _checked(int(digits), "index", 1, len(catalog))
 
 

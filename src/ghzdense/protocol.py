@@ -13,13 +13,16 @@ one Pauli error (X, Y or Z, each with probability p/3). Only qubits in
 transit are exposed; the receiver's qubit is ideal. The channel is thus a
 finite mixture of error patterns (16 for ghz3, 4 for bell2), and each
 pattern maps every basis state to another basis state, so the decode
-distribution ``C[m-1, j-1]`` (message m read as j) is exact: one
-state-vector exchange per pattern, made on message 1. The encoders are
-local Paulis and the receiver's network is Clifford, so a pattern adds
-the same bit syndrome (XOR) to every message's label, and the other rows
-are row 1 relabelled. Batches sample from C with one random stream per
-call, seeded by the channel: first the message counts, then each
-message's decoded counts in message order.
+distribution ``C[m-1, j-1]`` (message m read as j) is exact. The encoders
+are local Paulis and the receiver's network is Clifford, so a pattern
+XORs the same bit syndrome into every message's label, and a pattern's
+syndrome is the XOR of its single-qubit errors'. C is therefore built
+from state-vector exchanges of message 1: one error-free, and one per X
+or Z error on each transit qubit (5 for ghz3 and 3 for bell2 at
+0 < p < 1, 1 at p = 0); the other rows are row 1 relabelled. Batches
+sample from C with one random stream per call, seeded by the channel:
+first the message counts, then each message's decoded counts in message
+order.
 
 Both are ``bases.ghz_family(n)``, n=3 and n=2. The label of message m is
 the readout its state gives; :mod:`ghzdense.ghzmeasure` lists the labels
@@ -213,11 +216,15 @@ def _channel_terms(family: Protocol, channel: ChannelConfig) -> list[tuple[float
 def _decode_distribution(family: Protocol, channel: ChannelConfig) -> np.ndarray:
     """``C[m-1, j-1]``, the probability that message m is decoded as j.
 
-    Every pattern maps a basis state to a basis state, so one exchange per
-    pattern gives message 1's outcome with certainty. The encoders are
-    local Paulis and the network is Clifford, so a pattern XORs the same
-    syndrome into every message's label. With ``R[r]`` the probability
-    that message 1 reads out as the integer r, every row is R relabelled:
+    The encoders are local Paulis and the network is Clifford, so a Pauli
+    error pattern maps each basis state to a basis state and XORs one bit
+    syndrome into every message's label. That map is a homomorphism: the
+    syndrome of a product of Paulis is the XOR of theirs, and Y = iXZ. So
+    one exchange of message 1 gives its error-free label ``base``, one
+    exchange per (transit qubit, X or Z) the channel needs gives that
+    error's syndrome, and each pattern reads out at ``base`` XOR its
+    errors' syndromes. With ``R[r]`` the probability that message 1 reads
+    out as the integer r, every row is R relabelled:
     ``C[m, j] = R[label(m) XOR label(j) XOR label(1)]``, labels read from
     ``decode_table``'s keys, which are listed in message order."""
     labels = np.array([int(bits, 2) for bits in family.decode_table])  # message order
@@ -226,8 +233,8 @@ def _decode_distribution(family: Protocol, channel: ChannelConfig) -> np.ndarray
     measure = bell_measure if family is _BELL else ghz_measure
     readout = _rng(0)  # outcomes are certain; the seed is irrelevant
     sent = _encode(family, 1)
-    row = np.zeros(len(labels))  # R, message 1's distribution by readout
-    for weight, errors in _channel_terms(family, channel):
+
+    def label(*errors) -> int:
         state = sent
         for q, g in errors:
             state = apply_on_subset(state, _NAMED_GATES[g], (q,))
@@ -237,7 +244,24 @@ def _decode_distribution(family: Protocol, channel: ChannelConfig) -> np.ndarray
                 f"errors {errors} leave message 1 decoded as {decoded} only with "
                 f"probability {probability}; the channel must map basis states to basis states"
             )
-        row[labels[decoded - 1]] += weight
+        return int(labels[decoded - 1])
+
+    base = label()
+    syndromes = {}  # (qubit, "X" or "Z") -> its syndrome, exchanged at most once
+
+    def syndrome(q: int, g: str) -> int:
+        if g == "Y":
+            return syndrome(q, "X") ^ syndrome(q, "Z")
+        if (q, g) not in syndromes:
+            syndromes[q, g] = label((q, g)) ^ base
+        return syndromes[q, g]
+
+    row = np.zeros(len(labels))  # R, message 1's distribution by readout
+    for weight, errors in _channel_terms(family, channel):
+        readout_bits = base
+        for q, g in errors:
+            readout_bits ^= syndrome(q, g)
+        row[readout_bits] += weight
     return row[labels[:, None] ^ labels ^ labels[0]]
 
 

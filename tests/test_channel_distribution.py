@@ -16,6 +16,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from ghzdense import cli, protocol
 from ghzdense.encoding import _encode
+from ghzdense.ghzmeasure import ghz_measure
 from ghzdense.protocol import (
     PROTOCOL_NAMES,
     ChannelConfig,
@@ -73,6 +74,24 @@ def _born_reference(name: str, p: float) -> np.ndarray:
         weight = (1 - p) ** (len(family.transit) - len(errors)) * (p / 3) ** len(errors)
         dist += weight * _overlaps(family, errors)
     return dist
+
+
+def _per_pattern_reference(family, channel: ChannelConfig) -> np.ndarray:
+    """The decode distribution built by one exchange of message 1 per
+    pattern of ``_channel_terms``, each landing at its own readout label,
+    then relabelled into every row by XOR."""
+    paulis = {"X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
+    measure = protocol.bell_measure if family.name == "bell2" else ghz_measure
+    labels = np.array([int(bits, 2) for bits in family.decode_table])
+    row = np.zeros(len(labels))
+    for weight, errors in _channel_terms(family, channel):
+        state = _encode(family, 1)
+        for q, g in errors:
+            state = apply_on_subset(state, paulis[g], (q,))
+        decoded, probability = measure(state, 0)
+        assert probability == pytest.approx(1.0, abs=1e-9)
+        row[labels[decoded - 1]] += weight
+    return row[labels[:, None] ^ labels ^ labels[0]]
 
 
 def _wilson_interval(successes: int, trials: int, z: float) -> tuple[float, float]:
@@ -135,8 +154,10 @@ def test_forced_pattern_is_the_catalog_permutation(name, errors):
     target = overlaps.argmax(axis=1)
     assert sorted(target) == list(range(len(overlaps)))
     assert_allclose(overlaps.max(axis=1), 1.0, rtol=0, atol=1e-12)
-    dist = _full_distribution(name, ChannelConfig(forced_errors=errors))
+    channel = ChannelConfig(forced_errors=errors)
+    dist = _full_distribution(name, channel)
     assert_array_equal(dist, np.eye(len(overlaps))[target])
+    assert_array_equal(dist, _per_pattern_reference(_family(name), channel))
 
 
 @pytest.mark.parametrize("name", PROTOCOL_NAMES)
@@ -154,6 +175,28 @@ def test_errors_shift_every_label_by_one_syndrome(name, p):
     assert_allclose(reference, relabelled, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("name", PROTOCOL_NAMES)
+@pytest.mark.parametrize("p", [0.0, 0.05, 0.3, 0.75, 1.0])
+def test_generator_build_equals_one_exchange_per_pattern(name, p):
+    """Syndromes XOR: the build from one exchange per X or Z error on each
+    transit qubit is bit for bit the build from one exchange per pattern."""
+    family, channel = _family(name), ChannelConfig(pauli_error_prob=p)
+    assert_array_equal(_decode_distribution(family, channel), _per_pattern_reference(family, channel))
+
+
+@pytest.mark.parametrize("name", PROTOCOL_NAMES)
+def test_generator_build_equals_one_exchange_per_pattern_at_any_p(name):
+    hypothesis = pytest.importorskip("hypothesis")
+    from hypothesis import strategies as st
+
+    @hypothesis.given(st.floats(0.0, 1.0))
+    def check(p):
+        family, channel = _family(name), ChannelConfig(pauli_error_prob=p)
+        assert_array_equal(_decode_distribution(family, channel), _per_pattern_reference(family, channel))
+
+    check()
+
+
 def test_pattern_counts():
     ghz, bell = _family("ghz3"), _family("bell2")
     assert len(_channel_terms(ghz, ChannelConfig())) == 1
@@ -169,6 +212,18 @@ def test_uncertain_readout_is_an_error(monkeypatch):
     monkeypatch.setattr(protocol, "ghz_measure", lambda state, rng: (1, 0.5))
     with pytest.raises(RuntimeError, match="basis states"):
         run_trials("ghz3", 10)
+
+
+def test_uncertain_readout_of_an_errored_state_is_an_error(monkeypatch):
+    """The guard runs on every exchange, not only the error-free one."""
+    clean = _encode(_family("ghz3"), 1).amplitudes
+
+    def measure(state, rng):
+        return ghz_measure(state, rng) if np.array_equal(state.amplitudes, clean) else (1, 0.5)
+
+    monkeypatch.setattr(protocol, "ghz_measure", measure)
+    with pytest.raises(RuntimeError, match="basis states"):
+        run_trials("ghz3", 10, ChannelConfig(pauli_error_prob=0.1))
 
 
 @pytest.mark.parametrize("name", PROTOCOL_NAMES)
@@ -217,17 +272,25 @@ def test_single_exchange_is_a_one_trial_batch():
 
 
 def test_cost_does_not_grow_with_trials(monkeypatch):
+    """Exchanges per call: 1 error-free, plus 1 per X or Z error on each
+    transit qubit the channel can apply, whatever the trial count."""
     calls = []
-    real = protocol.ghz_measure
-    monkeypatch.setattr(protocol, "ghz_measure", lambda *a: calls.append(1) or real(*a))
+    for name in ("ghz_measure", "bell_measure"):
+        real = getattr(protocol, name)
+        monkeypatch.setattr(protocol, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
     channel = ChannelConfig(pauli_error_prob=0.1, rng_seed=0)
     run_trials("ghz3", 10, channel)
     few = len(calls)
     report = run_trials("ghz3", 1_000_000, channel)
-    assert len(calls) - few == few == 16
+    assert len(calls) - few == few == 5
     assert sum(report.messages_histogram) == 1_000_000
     run_trials("ghz3", 1_000, channel, fixed_message=5)
-    assert len(calls) == 3 * 16
+    assert len(calls) == 3 * 5
+    for name, measure, noisy in [("ghz3", "ghz_measure", 5), ("bell2", "bell_measure", 3)]:
+        for p, exchanges in [(0.1, noisy), (0.0, 1)]:
+            calls.clear()
+            run_trials(name, 1_000_000, ChannelConfig(pauli_error_prob=p))
+            assert calls == [measure] * exchanges, (name, p)
 
 
 def test_roundtrip_json_carries_exact_rate_and_decoded_counts():

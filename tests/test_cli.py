@@ -65,6 +65,20 @@ class TestBasesCommands:
         assert result.exit_code == 2
         assert result.stdout == f"error: malformed state index {index!r}"
 
+    @pytest.mark.parametrize("basis, count", [("ghz", 8), ("phi", 8), ("bell", 4)])
+    def test_dump_rejects_a_huge_index_in_its_own_words(self, basis, count):
+        result = dispatch(["bases", "dump", "--basis", basis, "--index", "9" * 5000])
+        assert result.exit_code == 2
+        assert result.stdout == f"error: index must lie in [1, {count}], got 99999999...9999 (5000 digits)"
+        twenty = dispatch(["bases", "dump", "--basis", basis, "--index", "9" * 20])
+        assert twenty.stdout == f"error: index must lie in [1, {count}], got {'9' * 20}"
+
+    @pytest.mark.parametrize("index", ["psi0003", "0003", "0" * 5000 + "3"], ids=["psi0003", "0003", "5000-zeros-3"])
+    def test_dump_accepts_leading_zeros(self, index):
+        result = dispatch(["bases", "dump", "--basis", "ghz", "--index", index])
+        assert result.exit_code == 0
+        assert result.stdout == dispatch(["bases", "dump", "--basis", "ghz", "--index", "3"]).stdout
+
 
 class TestEncodeCommand:
     def test_encode_message_7(self):
@@ -76,6 +90,14 @@ class TestEncodeCommand:
     def test_encode_rejects_bad_message(self):
         assert dispatch(["encode", "--message", "9"]).exit_code == 2
         assert dispatch(["encode", "--message", "zero"]).exit_code == 2
+
+    def test_encode_bounds_the_digit_count(self):
+        result = dispatch(["encode", "--message", "psi" + "1" * 5000])
+        assert result.exit_code == 2
+        assert result.stdout == "error: index must lie in [1, 8], got 11111111...1111 (5000 digits)"
+        padded = dispatch(["encode", "--message", "psi" + "0" * 5000 + "7"])
+        assert padded.exit_code == 0
+        assert padded.stdout == dispatch(["encode", "--message", "7"]).stdout
 
 
 class TestReachCommand:
