@@ -29,13 +29,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bases import BasisCatalog, Protocol, ghz_family
-from .qstate import StateVector, UnitaryMatrix, _checked, _haar_unitaries, _rng, _split, apply_on_subset
+from .qstate import StateVector, UnitaryMatrix, _checked, _haar_qubit_unitaries, _rng, _split, apply_on_subset
 from .qstate import fidelity_up_to_phase
 
 REACH_ATOL = 1e-10  # Gram comparisons accumulate a few products
 _WITNESS_MIN_FIDELITY = 1.0 - 1e-9
 _ORACLE_BATCH = 50_000  # unitaries per Haar draw
-_ORACLE_CHUNK = 256  # unitaries per scoring product; bounds the overlaps at 256 x pairs
+_ORACLE_CHUNK = 256  # unitaries per scoring product; bounds the overlaps at 256 x distinct pair columns
 
 _GHZ, _BELL = ghz_family(3), ghz_family(2)
 
@@ -129,19 +129,24 @@ def _best_sampled_fidelities(pairs, qubit: int, samples, rng_seed) -> np.ndarray
 
     The overlap <target| (u (x) 1) |source> is sum_ab u_ab M_ab with
     M = conj(Y) X^T, so stacking each pair's M as a column turns one
-    (chunk, 4) @ (4, pairs) product into every pair's overlaps.
+    (chunk, 4) @ (4, columns) product into every pair's overlaps. Pairs
+    with equal columns have equal overlaps, so each distinct column is
+    scored once (7 of the 64 ghz pairs' columns are distinct). The
+    unitaries are the closed-form 2 x 2 Haar draws,
+    ``qstate._haar_qubit_unitaries``.
     """
     samples = _checked(samples, "samples", 1)
     cofactors = [_cofactors(source, target, qubit) for source, target in pairs]
     coeffs = np.stack([(y.conj() @ x.T).ravel() for x, y in cofactors], axis=1)
+    coeffs, which = np.unique(coeffs, axis=1, return_inverse=True)
     rng = _rng(rng_seed)
     best = np.zeros(coeffs.shape[1])
     for start in range(0, samples, _ORACLE_BATCH):
-        batch = _haar_unitaries(min(samples - start, _ORACLE_BATCH), 2, rng).reshape(-1, 4)
+        batch = _haar_qubit_unitaries(min(samples - start, _ORACLE_BATCH), rng).reshape(-1, 4)
         for chunk in range(0, batch.shape[0], _ORACLE_CHUNK):
             overlaps = np.abs(batch[chunk : chunk + _ORACLE_CHUNK] @ coeffs) ** 2
             np.maximum(best, overlaps.max(axis=0), out=best)
-    return best
+    return best[which.reshape(-1)]  # numpy 2.0.0 gives the inverse the input's ndim
 
 
 def reachability_oracle(

@@ -59,18 +59,46 @@ def _rng(seed) -> np.random.Generator:
     return np.random.default_rng(_checked(seed, "rng_seed", 0))
 
 
+def _complex_gaussians(count: int, dim: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` dim x dim standard complex Gaussian matrices, real parts
+    drawn before imaginary parts: the one draw order of both Haar samplers,
+    so either leaves ``rng`` at the same point."""
+    return (rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal((count, dim, dim))) / np.sqrt(2.0)
+
+
 def _haar_unitaries(count: int, dim: int, rng: np.random.Generator) -> np.ndarray:
     """Stack of ``count`` Haar-random dim x dim unitaries, shape (count, dim, dim).
 
     QR orthonormalization of complex Gaussian matrices; the R factor's
     diagonal phases are divided out, which removes the QR sign ambiguity
     and makes the distribution properly uniform (Mezzadri,
-    arXiv:math-ph/0609050).
+    arXiv:math-ph/0609050). :func:`_haar_qubit_unitaries` is the closed
+    form of the 2 x 2 case: the same draws, equal to rounding.
     """
-    z = (rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal((count, dim, dim))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
+    q, r = np.linalg.qr(_complex_gaussians(count, dim, rng))
     d = np.diagonal(r, axis1=1, axis2=2)
     return q * (d / np.abs(d))[:, np.newaxis, :]
+
+
+def _haar_qubit_unitaries(count: int, rng: np.random.Generator) -> np.ndarray:
+    """``_haar_unitaries(count, 2, rng)`` in closed form, without LAPACK.
+
+    For Gaussian columns a, b, the QR with a positive R diagonal has first
+    column q = a/|a| and second column phase(det[q, b]) (-conj q_2, conj q_1):
+    the unit vector orthogonal to q whose overlap with b is real and
+    positive. It reads the same draws, so it equals the QR form to rounding,
+    which grows as a and b approach parallel.
+    """
+    z = _complex_gaussians(count, 2, rng)
+    a, b = z[:, :, 0], z[:, :, 1]
+    q = a / np.linalg.norm(a, axis=1, keepdims=True)
+    det = q[:, 0] * b[:, 1] - q[:, 1] * b[:, 0]
+    phase = det / np.abs(det)
+    out = np.empty((count, 2, 2), dtype=np.complex128)
+    out[:, :, 0] = q
+    out[:, 0, 1] = -phase * q[:, 1].conj()
+    out[:, 1, 1] = phase * q[:, 0].conj()
+    return out
 
 
 def _as_finite_complex(values, name: str) -> np.ndarray:

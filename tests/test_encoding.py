@@ -6,6 +6,7 @@ from conftest import kron_embed, random_state
 from ghzdense.bases import bell_catalog, bell_state, ghz_catalog, ghz_state, phi_catalog, phi_state
 from ghzdense.encoding import (
     _ORACLE_BATCH,
+    _ORACLE_CHUNK,
     REACH_ATOL,
     EncodingOp,
     ReachabilityVerdict,
@@ -21,6 +22,7 @@ from ghzdense.qstate import (
     ATOL,
     PAULI_X,
     StateVector,
+    _haar_qubit_unitaries,
     _haar_unitaries,
     apply_on_subset,
     basis_state,
@@ -338,8 +340,33 @@ def _first_oracle_matrix(catalog, qubit, samples, rng):
     )
 
 
+def _every_column_oracle_matrix(catalog, qubit, samples, rng):
+    """Every one of the k^2 pair columns scored, equal ones included, on the
+    closed-form draws from ``rng`` and in the scorer's batches and chunks."""
+    n, k = catalog.n_qubits, len(catalog)
+    rows = [
+        np.moveaxis(catalog.state(i).amplitudes.reshape((2,) * n), qubit - 1, 0).reshape(2, -1)
+        for i in range(1, k + 1)
+    ]
+    coeffs = np.stack([(y.conj() @ x.T).ravel() for x in rows for y in rows], axis=1)
+    best = np.zeros(k * k)
+    for start in range(0, samples, _ORACLE_BATCH):
+        batch = _haar_qubit_unitaries(min(_ORACLE_BATCH, samples - start), rng).reshape(-1, 4)
+        for chunk in range(0, len(batch), _ORACLE_CHUNK):
+            overlaps = np.abs(batch[chunk : chunk + _ORACLE_CHUNK] @ coeffs) ** 2
+            best = np.maximum(best, overlaps.max(axis=0))
+    return best.reshape(k, k)
+
+
 class TestReachabilityOracleMatrix:
     """All pairs are scored against one shared set of Haar draws."""
+
+    @pytest.mark.parametrize("catalog_fn,qubit", CATALOG_QUBITS)
+    def test_scoring_distinct_columns_once_is_exact(self, catalog_fn, qubit):
+        samples = _ORACLE_BATCH + 3
+        got = reachability_oracle_matrix(catalog_fn(), qubit, samples=samples, rng_seed=3)
+        want = _every_column_oracle_matrix(catalog_fn(), qubit, samples, np.random.default_rng(3))
+        assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("catalog_fn,qubit", CATALOG_QUBITS)
     def test_every_entry_is_the_one_pair_oracle(self, catalog_fn, qubit):

@@ -14,6 +14,8 @@ from ghzdense.qstate import (
     PAULI_Z,
     StateVector,
     UnitaryMatrix,
+    _haar_qubit_unitaries,
+    _haar_unitaries,
     apply_on_subset,
     basis_state,
     dump_state,
@@ -335,6 +337,37 @@ class TestHaarRandomUnitary:
         shared, reference = np.random.default_rng(42), np.random.default_rng(42)
         for _ in range(5):
             assert np.array_equal(haar_random_unitary(dim, shared).entries, self._reference(dim, reference))
+
+
+class TestHaarQubitUnitaries:
+    """The closed-form 2 x 2 draws against the batched QR they replace in the oracle."""
+
+    @pytest.mark.parametrize("count", [1, 2, 257, 50_003])
+    def test_equals_the_qr_draws_and_leaves_the_stream_at_the_same_point(self, count):
+        eps = np.finfo(float).eps
+        for seed in (0, 1, 5, 12345):
+            closed, qr, draws = (np.random.default_rng(seed) for _ in range(3))
+            got, want = _haar_qubit_unitaries(count, closed), _haar_unitaries(count, 2, qr)
+            # Where a draw's two columns are nearly parallel, the second column's
+            # phase is ill-conditioned in both forms: rounding grows as 1/sin(angle).
+            z = draws.standard_normal((count, 2, 2)) + 1j * draws.standard_normal((count, 2, 2))
+            sine = np.abs(np.linalg.det(z)) / np.prod(np.linalg.norm(z, axis=1), axis=1)
+            tolerance = np.maximum(1e-13, 16 * eps / sine)
+            assert np.all(np.abs(got - want).max(axis=(1, 2)) <= tolerance)
+            assert np.abs(got[:, :, 0] - want[:, :, 0]).max() <= 1e-13
+            assert closed.random() == qr.random()
+
+    def test_every_draw_is_unitary_within_1e_14(self):
+        u = _haar_qubit_unitaries(50_003, np.random.default_rng(3))
+        defect = np.abs(np.einsum("nji,njk->nik", u.conj(), u) - np.eye(2)).max()
+        assert defect <= 1e-14 < ATOL
+
+    def test_first_entry_moment(self):
+        """|u_00|^2 is uniform on [0, 1] under the Haar measure: mean 1/2,
+        standard error sqrt(1/12 / N), checked at z = 5."""
+        count = 50_003
+        values = np.abs(_haar_qubit_unitaries(count, np.random.default_rng(8))[:, 0, 0]) ** 2
+        assert abs(values.mean() - 0.5) <= 5 * np.sqrt(1 / 12 / count)
 
 
 # ---------------------------------------------------------------------------
