@@ -111,6 +111,9 @@ def _labels(catalog: BasisCatalog) -> list[str]:
 
 
 def _cmd_reach(args) -> CommandResult:
+    given = [flag for flag, value in (("--samples", args.samples), ("--seed", args.seed)) if value is not None]
+    if given and not args.oracle:
+        raise ValueError(f"{' and '.join(given)} can only be used with --oracle")
     catalog = catalog_by_name(args.basis)
     matrix = reachability_matrix(catalog, args.qubit)
     payload = {
@@ -128,11 +131,13 @@ def _cmd_reach(args) -> CommandResult:
         cells = " ".join("1" if v else "0" for v in row)
         lines.append(f"{label:<{width}}  {cells}")
     if args.oracle:
-        fidelities = reachability_oracle_matrix(catalog, args.qubit, args.samples, args.seed)
-        payload["samples"] = args.samples
-        payload["seed"] = args.seed
+        samples = 10_000 if args.samples is None else args.samples
+        seed = 0 if args.seed is None else args.seed
+        fidelities = reachability_oracle_matrix(catalog, args.qubit, samples, seed)
+        payload["samples"] = samples
+        payload["seed"] = seed
         payload["max_fidelity"] = [[float(v) for v in row] for row in fidelities]
-        lines.append(f"best sampled fidelity ({args.samples} samples, seed {args.seed}):")
+        lines.append(f"best sampled fidelity ({samples} samples, seed {seed}):")
         for label, row in zip(labels, fidelities):
             cells = " ".join(_fmt(v) for v in row)
             lines.append(f"{label:<{width}}  {cells}")
@@ -201,8 +206,8 @@ def _build_parser() -> _Parser:
     reach.add_argument("--basis", required=True, choices=tuple(_CATALOGS))
     reach.add_argument("--qubit", type=int, default=1)
     reach.add_argument("--oracle", action="store_true", help="also print best sampled fidelities")
-    reach.add_argument("--samples", type=int, default=10_000)
-    reach.add_argument("--seed", type=int, default=0)
+    reach.add_argument("--samples", type=int, help="oracle sample count (default 10000); needs --oracle")
+    reach.add_argument("--seed", type=int, help="oracle seed (default 0); needs --oracle")
     reach.add_argument("--json", action="store_true")
     reach.set_defaults(handler=_cmd_reach)
 

@@ -93,12 +93,17 @@ class ReachabilityVerdict:
     obstruction: float | None = None
 
 
-def _cofactors(source: StateVector, target: StateVector, qubit: int) -> tuple[np.ndarray, np.ndarray]:
+def _cofactors(states, qubit: int) -> list[np.ndarray]:
     """For each state, the 2 x 2^(n-1) matrix whose rows are the
-    (unnormalized) co-factors of the |0> and |1> branches of ``qubit``."""
-    if target.n_qubits != source.n_qubits:
-        raise ValueError(f"qubit counts differ: {source.n_qubits} vs {target.n_qubits}")
-    return tuple(_split(s, (qubit,))[1] for s in (source, target))
+    (unnormalized) co-factors of the |0> and |1> branches of ``qubit``:
+    one ``_split`` per state. Every state's qubit count is checked against
+    the first one's ("qubit counts differ: a vs b") before any state is
+    split, so a mismatch is reported ahead of an out-of-range ``qubit``."""
+    n = states[0].n_qubits
+    for state in states[1:]:
+        if state.n_qubits != n:
+            raise ValueError(f"qubit counts differ: {n} vs {state.n_qubits}")
+    return [_split(state, (qubit,))[1] for state in states]
 
 
 def reachable_by_single_qubit(
@@ -106,7 +111,7 @@ def reachable_by_single_qubit(
 ) -> ReachabilityVerdict:
     """Decide whether some unitary on ``qubit`` alone maps ``source`` to
     ``target`` up to global phase, exactly (no sampling involved)."""
-    x, y = _cofactors(source, target, qubit)
+    x, y = _cofactors((source, target), qubit)
     gram_gap = float(np.max(np.abs(x.conj().T @ x - y.conj().T @ y)))
     cross = y @ x.conj().T
     w, sing, vh = np.linalg.svd(cross)
@@ -122,22 +127,27 @@ def reachable_by_single_qubit(
     return ReachabilityVerdict(reachable=True, witness=witness)
 
 
-def _best_sampled_fidelities(pairs, qubit: int, samples, rng_seed) -> np.ndarray:
-    """Best fidelity (up to phase) for each (source, target) pair in
-    ``pairs``, over one shared set of ``samples`` Haar-random unitaries on
-    ``qubit``: the one scorer behind both oracle functions.
+def _best_sampled_fidelities(sources, targets, qubit: int, samples, rng_seed) -> np.ndarray:
+    """Best fidelity (up to phase) for every (source, target) pair, as a
+    len(sources) x len(targets) array, over one shared set of ``samples``
+    Haar-random unitaries on ``qubit``: the one scorer behind both oracle
+    functions.
 
     The overlap <target| (u (x) 1) |source> is sum_ab u_ab M_ab with
     M = conj(Y) X^T, so stacking each pair's M as a column turns one
-    (chunk, 4) @ (4, columns) product into every pair's overlaps. Pairs
-    with equal columns have equal overlaps, so each distinct column is
-    scored once (7 of the 64 ghz pairs' columns are distinct). The
-    unitaries are the closed-form 2 x 2 Haar draws,
+    (chunk, 4) @ (4, columns) product into every pair's overlaps. Each
+    distinct state object is split once (8 splits for the ghz matrix, not
+    128), and each column is still ``(y.conj() @ x.T).ravel()`` of its
+    pair's two splits, so the floats do not depend on how many states
+    share a split. Pairs with equal columns have equal overlaps, so each
+    distinct column is scored once (7 of the 64 ghz pairs' columns are
+    distinct). The unitaries are the closed-form 2 x 2 Haar draws,
     ``qstate._haar_qubit_unitaries``.
     """
     samples = _checked(samples, "samples", 1)
-    cofactors = [_cofactors(source, target, qubit) for source, target in pairs]
-    coeffs = np.stack([(y.conj() @ x.T).ravel() for x, y in cofactors], axis=1)
+    states = list({id(s): s for s in (*sources, *targets)}.values())
+    rows = dict(zip(map(id, states), _cofactors(states, qubit)))
+    coeffs = np.stack([(rows[id(t)].conj() @ rows[id(s)].T).ravel() for s in sources for t in targets], axis=1)
     coeffs, which = np.unique(coeffs, axis=1, return_inverse=True)
     rng = _rng(rng_seed)
     best = np.zeros(coeffs.shape[1])
@@ -146,7 +156,8 @@ def _best_sampled_fidelities(pairs, qubit: int, samples, rng_seed) -> np.ndarray
         for chunk in range(0, batch.shape[0], _ORACLE_CHUNK):
             overlaps = np.abs(batch[chunk : chunk + _ORACLE_CHUNK] @ coeffs) ** 2
             np.maximum(best, overlaps.max(axis=0), out=best)
-    return best[which.reshape(-1)]  # numpy 2.0.0 gives the inverse the input's ndim
+    # numpy 2.0.0 gives the inverse the input's ndim, hence the flat index
+    return best[which.reshape(-1)].reshape(len(sources), len(targets))
 
 
 def reachability_oracle(
@@ -163,21 +174,31 @@ def reachability_oracle(
     ``rng_seed`` is an integer seed >= 0 or a ``numpy.random.Generator``;
     anything else, bools and floats included, is a ``ValueError``.
     Results are a deterministic function of the arguments. This is the
-    one-pair case of :func:`reachability_oracle_matrix`: the same seed
+    1 x 1 case of :func:`reachability_oracle_matrix`: the same seed
     draws the same unitaries in both.
     """
-    return float(_best_sampled_fidelities([(source, target)], qubit, samples, rng_seed)[0])
+    return float(_best_sampled_fidelities((source,), (target,), qubit, samples, rng_seed)[0, 0])
 
 
 def reachability_matrix(catalog: BasisCatalog, qubit: int) -> np.ndarray:
     """Boolean matrix over ordered catalog pairs: entry (i-1, j-1) says
-    whether state i reaches state j through a unitary on ``qubit``."""
-    k = len(catalog)
+    whether state i reaches state j through a unitary on ``qubit``.
+
+    Each unordered pair is decided once, with i <= j, and mirrored:
+    k(k+1)/2 verdicts, 36 for an 8-state catalog. A unitary u on one qubit
+    is undone by u^dagger, so reachability is symmetric, and the mirror is
+    exact: the Gram gap max|G_i - G_j| reads the same floats in either
+    order, so the (j, i) verdict would be the same boolean, and its witness
+    would be the adjoint of the (i, j) witness (to rounding), with the same
+    fidelity, so no re-check is lost. The diagonal keeps its verdict, and
+    with it the witness re-check of every state.
+    """
+    states = catalog.states
+    k = len(states)
     out = np.zeros((k, k), dtype=bool)
-    for i in range(1, k + 1):
-        for j in range(1, k + 1):
-            verdict = reachable_by_single_qubit(catalog.state(i), catalog.state(j), qubit)
-            out[i - 1, j - 1] = verdict.reachable
+    for i in range(k):
+        for j in range(i, k):
+            out[i, j] = out[j, i] = reachable_by_single_qubit(states[i], states[j], qubit).reachable
     return out
 
 
@@ -193,6 +214,4 @@ def reachability_oracle_matrix(
     catalog.state(j), qubit, samples, rng_seed)``. Because the pairs share
     their draws, an unlucky set lowers every reachable entry together.
     """
-    states = [catalog.state(i) for i in range(1, len(catalog) + 1)]
-    best = _best_sampled_fidelities([(s, t) for s in states for t in states], qubit, samples, rng_seed)
-    return best.reshape(len(states), len(states))
+    return _best_sampled_fidelities(catalog.states, catalog.states, qubit, samples, rng_seed)

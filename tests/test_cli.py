@@ -142,6 +142,26 @@ class TestReachCommand:
     def test_rejects_bad_qubit(self):
         assert dispatch(["reach", "--basis", "ghz", "--qubit", "4"]).exit_code == 2
 
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--samples", "0"], "--samples"),
+            (["--seed", "0"], "--seed"),
+            (["--samples", "10000", "--seed", "3"], "--samples and --seed"),
+        ],
+    )
+    def test_sampling_flags_without_oracle_exit_2_naming_oracle(self, flags, named):
+        for extra in ([], ["--json"]):
+            result = dispatch(["reach", "--basis", "ghz", "--qubit", "1", *flags, *extra])
+            assert result.exit_code == 2
+            assert result.stdout == f"error: {named} can only be used with --oracle"
+
+    def test_oracle_alone_draws_10000_samples_from_seed_0(self):
+        argv = ["reach", "--basis", "bell", "--qubit", "1", "--oracle"]
+        payload = json.loads(dispatch([*argv, "--json"]).stdout)
+        assert (payload["samples"], payload["seed"]) == (10_000, 0)
+        assert dispatch(argv).stdout == dispatch([*argv, "--samples", "10000", "--seed", "0"]).stdout
+
     @pytest.mark.parametrize("qubit", [1, 2])
     def test_bell_pairs_reach_each_other_through_either_qubit(self, qubit):
         """The two-qubit half of the paper's contrast: one qubit reaches all

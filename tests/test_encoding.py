@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import ghzdense.encoding as encoding_mod
 from conftest import kron_embed, random_state
 from ghzdense.bases import bell_catalog, bell_state, ghz_catalog, ghz_state, phi_catalog, phi_state
 from ghzdense.encoding import (
@@ -24,12 +25,18 @@ from ghzdense.qstate import (
     StateVector,
     _haar_qubit_unitaries,
     _haar_unitaries,
+    _split,
     apply_on_subset,
     basis_state,
     fidelity_up_to_phase,
 )
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
+
+# Every basis at every qubit: (catalog builder, qubit).
+CATALOG_QUBITS = [(ghz_catalog, q) for q in (1, 2, 3)] + [(phi_catalog, q) for q in (1, 2, 3)] + [
+    (bell_catalog, q) for q in (1, 2)
+]
 
 
 # ---------------------------------------------------------------------------
@@ -178,9 +185,29 @@ class TestReachableBySingleQubit:
                 for i in range(1, 9):
                     assert reachable_by_single_qubit(cat.state(i), cat.state(i), qubit).reachable
 
-    def test_verdict_records_indices_when_given_catalog_states(self):
-        v = reachable_by_single_qubit(ghz_state(1), ghz_state(2), 1)
-        assert isinstance(v, ReachabilityVerdict)
+    def test_verdict_sets_exactly_one_of_witness_and_obstruction(self):
+        cat = ghz_catalog()
+        for qubit in (1, 2, 3):
+            for i in range(1, 9):
+                for j in range(1, 9):
+                    v = reachable_by_single_qubit(cat.state(i), cat.state(j), qubit)
+                    assert isinstance(v, ReachabilityVerdict)
+                    assert (v.witness is not None) == v.reachable
+                    assert (v.obstruction is not None) == (not v.reachable)
+
+    @pytest.mark.parametrize("catalog_fn,qubit", CATALOG_QUBITS)
+    def test_every_ordered_pair_gets_its_mirror_verdict(self, catalog_fn, qubit):
+        """The premise of the mirrored matrix, checked pair by pair: i reaches
+        j exactly when j reaches i, and an unreachable pair's best overlap is
+        the same from either side."""
+        cat = catalog_fn()
+        for i in range(1, len(cat) + 1):
+            for j in range(1, len(cat) + 1):
+                forward = reachable_by_single_qubit(cat.state(i), cat.state(j), qubit)
+                backward = reachable_by_single_qubit(cat.state(j), cat.state(i), qubit)
+                assert forward.reachable == backward.reachable
+                if not forward.reachable:
+                    assert abs(forward.obstruction - backward.obstruction) <= 1e-12
 
     def test_validates_inputs(self):
         with pytest.raises(ValueError):
@@ -203,6 +230,18 @@ class TestReachableBySingleQubit:
             reachable_by_single_qubit(ghz_state(1), ghz_state(3), 1)
         # An unreachable pair is decided before any witness is built.
         assert not reachable_by_single_qubit(ghz_state(1), ghz_state(5), 1).reachable
+
+
+def _every_pair_matrix(catalog, qubit):
+    """The k^2-verdict formula, kept as the reference: every ordered pair
+    decided by its own call, the mirror pair included."""
+    k = len(catalog)
+    return np.array(
+        [
+            [reachable_by_single_qubit(catalog.state(i), catalog.state(j), qubit).reachable for j in range(1, k + 1)]
+            for i in range(1, k + 1)
+        ]
+    )
 
 
 class TestReachabilityMatrix:
@@ -254,6 +293,35 @@ class TestReachabilityMatrix:
         m = reachability_matrix(catalog_fn(), qubit)
         assert np.array_equal(m, m.T)
         assert np.all(np.diag(m))
+
+    @pytest.mark.parametrize("catalog_fn,qubit", CATALOG_QUBITS)
+    def test_equals_every_ordered_pair_decided_on_its_own(self, catalog_fn, qubit):
+        cat = catalog_fn()
+        assert np.array_equal(reachability_matrix(cat, qubit), _every_pair_matrix(cat, qubit))
+
+    @pytest.mark.parametrize("catalog_fn,qubit", CATALOG_QUBITS)
+    def test_decides_each_unordered_pair_once(self, catalog_fn, qubit, monkeypatch):
+        cat = catalog_fn()
+        index = {id(cat.state(i)): i for i in range(1, len(cat) + 1)}
+        decided = []
+
+        def counting(source, target, q):
+            decided.append((index[id(source)], index[id(target)]))
+            return reachable_by_single_qubit(source, target, q)
+
+        monkeypatch.setattr(encoding_mod, "reachable_by_single_qubit", counting)
+        reachability_matrix(cat, qubit)
+        k = len(cat)
+        assert len(decided) == k * (k + 1) // 2  # 36 for ghz and phi, 10 for bell
+        assert {frozenset(pair) for pair in decided} == {
+            frozenset((i, j)) for i in range(1, k + 1) for j in range(i, k + 1)
+        }
+
+    def test_witness_recheck_still_guards_the_matrix(self, monkeypatch):
+        # The diagonal keeps its verdict, so every matrix re-checks witnesses.
+        monkeypatch.setattr(encoding_mod, "fidelity_up_to_phase", lambda a, b: 0.5)
+        with pytest.raises(ArithmeticError, match="witness fidelity 0.5"):
+            reachability_matrix(ghz_catalog(), 1)
 
     @pytest.mark.parametrize("catalog_fn", [ghz_catalog, phi_catalog])
     @pytest.mark.parametrize("qubit", [1, 2, 3])
@@ -316,12 +384,6 @@ class TestReachabilityOracle:
             ceiling = 1.0 if v.reachable else v.obstruction**2
             best = reachability_oracle(source, target, 2, samples=2_000, rng_seed=4)
             assert best <= ceiling + 1e-9
-
-
-# Every basis at every qubit: (catalog builder, qubit).
-CATALOG_QUBITS = [(ghz_catalog, q) for q in (1, 2, 3)] + [(phi_catalog, q) for q in (1, 2, 3)] + [
-    (bell_catalog, q) for q in (1, 2)
-]
 
 
 def _first_oracle_matrix(catalog, qubit, samples, rng):
@@ -397,6 +459,22 @@ class TestReachabilityOracleMatrix:
                 v = reachable_by_single_qubit(cat.state(i), cat.state(j), qubit)
                 optimum = 1.0 if v.reachable else v.obstruction**2
                 assert sampled[i - 1, j - 1] <= optimum + 1e-12
+
+    @pytest.mark.parametrize("catalog_fn,qubit", CATALOG_QUBITS)
+    def test_splits_each_state_once(self, catalog_fn, qubit, monkeypatch):
+        cat = catalog_fn()
+        splits = []
+
+        def counting(state, qubits):
+            splits.append(state)
+            return _split(state, qubits)
+
+        monkeypatch.setattr(encoding_mod, "_split", counting)
+        reachability_oracle_matrix(cat, qubit, samples=10, rng_seed=0)
+        assert len(splits) == len(cat)  # 8 or 4, not 2k^2 (128 or 32)
+        splits.clear()
+        reachability_oracle(cat.state(1), cat.state(2), qubit, samples=10, rng_seed=0)
+        assert len(splits) == 2
 
     def test_generator_seed_matches_its_integer_seed(self):
         cat = phi_catalog()

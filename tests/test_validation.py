@@ -12,7 +12,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from ghzdense.bases import ghz_state
+from ghzdense.bases import bell_state, ghz_state
 from ghzdense.cli import main
 from ghzdense.encoding import (
     bell_encode,
@@ -111,6 +111,21 @@ REJECTED.update(
 def test_rejected_with_value_error(call):
     with pytest.raises(ValueError):
         call()
+
+
+@pytest.mark.parametrize("check", [reachable_by_single_qubit, reachability_oracle])
+@pytest.mark.parametrize(
+    "source, target, qubit, message",
+    [
+        (bell_state(1), ghz_state(2), 1, "qubit counts differ: 2 vs 3"),
+        (bell_state(1), ghz_state(2), 3, "qubit counts differ: 2 vs 3"),
+        (ghz_state(1), bell_state(2), 3, "qubit counts differ: 3 vs 2"),
+    ],
+)
+def test_qubit_count_mismatch_is_reported_before_the_qubit_range(check, source, target, qubit, message):
+    with pytest.raises(ValueError) as caught:
+        check(source, target, qubit)
+    assert str(caught.value) == message
 
 
 @pytest.mark.parametrize("protocol", ["ghz3", "bell2"])
