@@ -10,16 +10,17 @@ Two protocols are covered:
 
 Noise model: while a qubit is in transit it suffers, with probability p,
 one Pauli error (X, Y or Z, each with probability p/3). Only qubits in
-transit are exposed; the receiver's qubit is ideal. The channel is thus a
-finite mixture of error patterns (16 for ghz3, 4 for bell2), and each
-pattern maps every basis state to another basis state, so the decode
-distribution ``C[m-1, j-1]`` (message m read as j) is exact. The encoders
-are local Paulis and the receiver's network is Clifford, so a pattern
-XORs the same bit syndrome into every message's label, and a pattern's
-syndrome is the XOR of its single-qubit errors'. C is therefore built
-from state-vector exchanges of message 1: one error-free, and one per X
-or Z error on each transit qubit (5 for ghz3 and 3 for bell2 at
-0 < p < 1, 1 at p = 0); the other rows are row 1 relabelled. Batches
+transit are exposed; the receiver's qubit is ideal. The channel is thus
+one table per transit qubit giving the weight of I, X, Y and Z on it,
+each qubit hit on its own, and every Pauli maps every basis state to
+another basis state, so the decode distribution ``C[m-1, j-1]`` (message
+m read as j) is exact. The encoders are local Paulis and the receiver's
+network is Clifford, so an error XORs the same bit syndrome into every
+message's label, and errors on several qubits XOR their syndromes. C is
+therefore built from state-vector exchanges of message 1: one
+error-free, and one per X or Z error on each transit qubit (5 for ghz3
+and 3 for bell2 at 0 < p < 1, 1 at p = 0). Row 1 takes in one qubit's
+table at a time by XOR, and the other rows are row 1 relabelled. Batches
 sample from C with one random stream per call, seeded by the channel:
 first the message counts, then each message's decoded counts in message
 order.
@@ -35,7 +36,6 @@ ValueError (exit code 2 on the command line).
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, replace
@@ -69,12 +69,14 @@ def _family(protocol: str) -> Protocol:
 class ChannelConfig:
     """Transmission channel settings.
 
-    With ``forced_errors`` unset, the channel is the mixture of every
-    Pauli pattern on the transit qubits, weighted by ``pauli_error_prob``.
-    ``forced_errors`` makes it one fixed pattern of weight 1, given as a
-    mapping or pairs like ``{1: "Z"}``; listed qubits must be in transit
-    for the protocol used. It exists for deterministic fault-injection
-    tests, and while set the error probability is ignored.
+    The channel hits each transit qubit on its own with one Pauli drawn
+    from that qubit's table. With ``forced_errors`` unset, every table is
+    I with weight 1 - ``pauli_error_prob`` and X, Y, Z with a third of it
+    each. ``forced_errors`` puts weight 1 on each listed qubit's error and
+    on I for every other transit qubit, given as a mapping or pairs like
+    ``{1: "Z"}``; listed qubits must be in transit for the protocol used.
+    It exists for deterministic fault-injection tests, and while set the
+    error probability is ignored.
     """
 
     pauli_error_prob: float = 0.0
@@ -192,39 +194,35 @@ def bell_measure(state: StateVector, rng_seed) -> tuple[int, float]:
     return _read_out(_BELL, _run_network(_BELL, state), rng_seed)
 
 
-def _channel_terms(family: Protocol, channel: ChannelConfig) -> list[tuple[float, tuple]]:
-    """The channel as ``(weight, ((qubit, pauli), ...))`` error patterns of
-    nonzero weight: one per Pauli choice on each transit qubit, or the
-    forced errors with weight 1."""
-    if channel.forced_errors is not None:
-        for q, _ in channel.forced_errors:
-            if q not in family.transit:
-                raise ValueError(
-                    f"forced error on qubit {q}, but only qubits {family.transit} are in transit"
-                )
-        return [(1.0, channel.forced_errors)]
-    p = channel.pauli_error_prob
-    per_qubit = [(1.0 - p, None)] + [(p / 3.0, g) for g in _ERRORS]
-    terms = []
-    for choice in itertools.product(per_qubit, repeat=len(family.transit)):
-        weight = math.prod(w for w, _ in choice)
-        if weight > 0.0:
-            terms.append((weight, tuple((q, g) for q, (_, g) in zip(family.transit, choice) if g)))
-    return terms
+def _pauli_tables(family: Protocol, channel: ChannelConfig) -> list[dict[str, float]]:
+    """The channel as one table per transit qubit, in transit order, giving
+    the weight of each Pauli (I, X, Y, Z) that qubit suffers on its own:
+    (1-p, p/3, p/3, p/3), or weight 1 on the forced error ("I" on a qubit
+    with none listed)."""
+    if channel.forced_errors is None:
+        p = channel.pauli_error_prob
+        return [{"I": 1.0 - p, **dict.fromkeys(_ERRORS, p / 3.0)} for _ in family.transit]
+    forced = dict(channel.forced_errors)
+    for q in forced:
+        if q not in family.transit:
+            raise ValueError(f"forced error on qubit {q}, but only qubits {family.transit} are in transit")
+    return [{g: float(g == forced.get(q, "I")) for g in ("I", *_ERRORS)} for q in family.transit]
 
 
 def _decode_distribution(family: Protocol, channel: ChannelConfig) -> np.ndarray:
     """``C[m-1, j-1]``, the probability that message m is decoded as j.
 
     The encoders are local Paulis and the network is Clifford, so a Pauli
-    error pattern maps each basis state to a basis state and XORs one bit
-    syndrome into every message's label. That map is a homomorphism: the
-    syndrome of a product of Paulis is the XOR of theirs, and Y = iXZ. So
-    one exchange of message 1 gives its error-free label ``base``, one
-    exchange per (transit qubit, X or Z) the channel needs gives that
-    error's syndrome, and each pattern reads out at ``base`` XOR its
-    errors' syndromes. With ``R[r]`` the probability that message 1 reads
-    out as the integer r, every row is R relabelled:
+    error maps each basis state to a basis state and XORs one bit syndrome
+    into every message's label. That map is a homomorphism: the syndrome
+    of a product of Paulis is the XOR of theirs, and Y = iXZ. So one
+    exchange of message 1 gives its error-free label ``base``, and one
+    exchange per (transit qubit, X or Z) of nonzero weight in the
+    channel's tables gives that error's syndrome. ``R[r]``, the
+    probability that message 1 reads out as the integer r, starts at
+    ``base`` with weight 1; each transit qubit's table then folds in by
+    XOR, ``R'[r XOR s] += w R[r]`` for each Pauli of weight w > 0 and
+    syndrome s. Every row is R relabelled:
     ``C[m, j] = R[label(m) XOR label(j) XOR label(1)]``, labels read from
     ``decode_table``'s keys, which are listed in message order."""
     labels = np.array([int(bits, 2) for bits in family.decode_table])  # message order
@@ -250,19 +248,24 @@ def _decode_distribution(family: Protocol, channel: ChannelConfig) -> np.ndarray
     syndromes = {}  # (qubit, "X" or "Z") -> its syndrome, exchanged at most once
 
     def syndrome(q: int, g: str) -> int:
+        if g == "I":
+            return 0
         if g == "Y":
             return syndrome(q, "X") ^ syndrome(q, "Z")
         if (q, g) not in syndromes:
             syndromes[q, g] = label((q, g)) ^ base
         return syndromes[q, g]
 
-    row = np.zeros(len(labels))  # R, message 1's distribution by readout
-    for weight, errors in _channel_terms(family, channel):
-        readout_bits = base
-        for q, g in errors:
-            readout_bits ^= syndrome(q, g)
-        row[readout_bits] += weight
-    return row[labels[:, None] ^ labels ^ labels[0]]
+    row = [float(r == base) for r in range(len(labels))]  # R, message 1's distribution by readout
+    for q, table in zip(family.transit, _pauli_tables(family, channel)):
+        folded = [0.0] * len(row)
+        for g, weight in table.items():
+            if weight > 0.0:
+                s = syndrome(q, g)
+                for r, w in enumerate(row):
+                    folded[r ^ s] += weight * w
+        row = folded
+    return np.array(row)[labels[:, None] ^ labels ^ labels[0]]
 
 
 def _one_exchange(protocol: str, message: int, channel: ChannelConfig) -> tuple[int, bool]:

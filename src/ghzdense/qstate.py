@@ -351,7 +351,7 @@ def load_state(text: str) -> StateVector:
     Amplitudes whose norm is within ``ATOL`` of 1 are kept as written, so
     ``load_state(dump_state(s))`` reproduces ``s`` bit for bit. Reduced
     precision is renormalized; a norm more than 1e-9 away from 1 is
-    rejected as malformed instead.
+    rejected as malformed instead, as is a non-finite amplitude.
     """
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines:
@@ -371,14 +371,16 @@ def load_state(text: str) -> StateVector:
         if len(fields) != 3:
             raise ValueError(f"expected 'index re im', got {ln!r}")
         try:
-            idx, re, im = int(fields[0]), float(fields[1]), float(fields[2])
+            idx, amp = int(fields[0]), complex(float(fields[1]), float(fields[2]))
+            if not np.isfinite(amp):
+                raise ValueError
         except ValueError:
             raise ValueError(f"malformed amplitude line {ln!r}") from None
         idx = _checked(idx, f"amplitude index for {n} qubit(s)", 0, amps.shape[0] - 1)
         if idx in seen:
             raise ValueError(f"duplicate index {idx}")
         seen.add(idx)
-        amps[idx] = complex(re, im)
+        amps[idx] = amp
     norm = float(np.linalg.norm(amps))
     if abs(norm - 1.0) > 1e-9:
         raise ValueError(f"state norm {norm} too far from 1")

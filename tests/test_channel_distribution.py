@@ -21,7 +21,6 @@ from ghzdense.protocol import (
     PROTOCOL_NAMES,
     ChannelConfig,
     TrialReport,
-    _channel_terms,
     _decode_distribution,
     _family,
     run_trials,
@@ -65,26 +64,35 @@ def _overlaps(family, errors) -> np.ndarray:
     return out
 
 
+def _weighted_patterns(family, channel: ChannelConfig) -> list[tuple[float, tuple]]:
+    """Every pattern of ``_patterns`` with its weight: 1 for the forced
+    pattern and 0 for the rest, or (1-p)^(t-e) (p/3)^e for e errors on t
+    transit qubits, multiplied out one factor per qubit."""
+    if channel.forced_errors is not None:
+        return [(float(set(errors) == set(channel.forced_errors)), errors) for errors in _patterns(family)]
+    p, t = channel.pauli_error_prob, len(family.transit)
+    return [(math.prod([1 - p] * (t - len(e)) + [p / 3] * len(e)), e) for e in _patterns(family)]
+
+
 def _born_reference(name: str, p: float) -> np.ndarray:
     """Sum over every Pauli pattern of its weight times its overlaps."""
     family = _family(name)
     k = len(family.catalog)
     dist = np.zeros((k, k))
-    for errors in _patterns(family):
-        weight = (1 - p) ** (len(family.transit) - len(errors)) * (p / 3) ** len(errors)
+    for weight, errors in _weighted_patterns(family, ChannelConfig(pauli_error_prob=p)):
         dist += weight * _overlaps(family, errors)
     return dist
 
 
 def _per_pattern_reference(family, channel: ChannelConfig) -> np.ndarray:
     """The decode distribution built by one exchange of message 1 per
-    pattern of ``_channel_terms``, each landing at its own readout label,
-    then relabelled into every row by XOR."""
+    weighted pattern, each landing at its own readout label, then
+    relabelled into every row by XOR."""
     paulis = {"X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
     measure = protocol.bell_measure if family.name == "bell2" else ghz_measure
     labels = np.array([int(bits, 2) for bits in family.decode_table])
     row = np.zeros(len(labels))
-    for weight, errors in _channel_terms(family, channel):
+    for weight, errors in _weighted_patterns(family, channel):
         state = _encode(family, 1)
         for q, g in errors:
             state = apply_on_subset(state, paulis[g], (q,))
@@ -143,7 +151,7 @@ def test_forced_phase_flip_is_the_partner_permutation():
     assert_array_equal(dist, np.eye(8)[np.array(PARTNER) - 1])
 
 
-FORCED = [(name, errors) for name in PROTOCOL_NAMES for errors in _patterns(_family(name))[1:]]
+FORCED = [(name, errors) for name in PROTOCOL_NAMES for errors in _patterns(_family(name))]
 
 
 @pytest.mark.parametrize(
@@ -197,15 +205,36 @@ def test_generator_build_equals_one_exchange_per_pattern_at_any_p(name):
     check()
 
 
-def test_pattern_counts():
-    ghz, bell = _family("ghz3"), _family("bell2")
-    assert len(_channel_terms(ghz, ChannelConfig())) == 1
-    assert len(_channel_terms(ghz, ChannelConfig(pauli_error_prob=0.2))) == 16
-    assert len(_channel_terms(ghz, ChannelConfig(pauli_error_prob=1.0))) == 9
-    assert len(_channel_terms(bell, ChannelConfig(pauli_error_prob=0.2))) == 4
-    assert len(_channel_terms(bell, ChannelConfig(pauli_error_prob=1.0))) == 3
-    forced = ChannelConfig(pauli_error_prob=0.5, forced_errors={2: "Y"})
-    assert _channel_terms(ghz, forced) == [(1.0, ((2, "Y"),))]
+@pytest.fixture
+def exchanges(monkeypatch) -> list[str]:
+    """The measurements ``protocol`` makes, by name, in call order."""
+    calls = []
+    for name in ("ghz_measure", "bell_measure"):
+        real = getattr(protocol, name)
+        monkeypatch.setattr(protocol, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "name, channel, count",
+    [
+        ("ghz3", ChannelConfig(forced_errors={1: "Z"}), 2),
+        ("ghz3", ChannelConfig(forced_errors={2: "Y"}), 3),
+        ("ghz3", ChannelConfig(forced_errors={1: "X", 2: "Z"}), 3),
+        ("ghz3", ChannelConfig(forced_errors={1: "Y", 2: "Y"}), 5),
+        ("ghz3", ChannelConfig(forced_errors={}), 1),
+        ("ghz3", ChannelConfig(pauli_error_prob=0.5, forced_errors={2: "Y"}), 3),  # p is ignored
+        ("bell2", ChannelConfig(forced_errors={1: "X"}), 2),
+        ("bell2", ChannelConfig(forced_errors={1: "Y"}), 3),
+        ("ghz3", ChannelConfig(pauli_error_prob=1.0), 5),
+        ("bell2", ChannelConfig(pauli_error_prob=1.0), 3),
+    ],
+)
+def test_exchange_counts(exchanges, name, channel, count):
+    """1 error-free, plus 1 per X or Z error on each transit qubit that has
+    weight in the channel; Y takes both."""
+    run_trials(name, 1_000, channel)
+    assert exchanges == ["bell_measure" if name == "bell2" else "ghz_measure"] * count
 
 
 def test_uncertain_readout_is_an_error(monkeypatch):
@@ -271,13 +300,10 @@ def test_single_exchange_is_a_one_trial_batch():
         assert ok == (report.successes == 1)
 
 
-def test_cost_does_not_grow_with_trials(monkeypatch):
+def test_cost_does_not_grow_with_trials(exchanges):
     """Exchanges per call: 1 error-free, plus 1 per X or Z error on each
     transit qubit the channel can apply, whatever the trial count."""
-    calls = []
-    for name in ("ghz_measure", "bell_measure"):
-        real = getattr(protocol, name)
-        monkeypatch.setattr(protocol, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    calls = exchanges
     channel = ChannelConfig(pauli_error_prob=0.1, rng_seed=0)
     run_trials("ghz3", 10, channel)
     few = len(calls)
