@@ -141,8 +141,10 @@ def _best_sampled_fidelities(sources, targets, qubit: int, samples, rng_seed) ->
     pair's two splits, so the floats do not depend on how many states
     share a split. Pairs with equal columns have equal overlaps, so each
     distinct column is scored once (7 of the 64 ghz pairs' columns are
-    distinct). The unitaries are the closed-form 2 x 2 Haar draws,
-    ``qstate._haar_qubit_unitaries``.
+    distinct). The unitaries are Haar draws on SU(2),
+    ``qstate._haar_qubit_unitaries``, four normals each: a fidelity cannot
+    see a unitary's global phase, so the best scores have the distribution
+    that Haar draws on U(2) would give.
     """
     samples = _checked(samples, "samples", 1)
     states = list({id(s): s for s in (*sources, *targets)}.values())

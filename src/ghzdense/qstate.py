@@ -59,46 +59,37 @@ def _rng(seed) -> np.random.Generator:
     return np.random.default_rng(_checked(seed, "rng_seed", 0))
 
 
-def _complex_gaussians(count: int, dim: int, rng: np.random.Generator) -> np.ndarray:
-    """``count`` dim x dim standard complex Gaussian matrices, real parts
-    drawn before imaginary parts: the one draw order of both Haar samplers,
-    so either leaves ``rng`` at the same point."""
-    return (rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal((count, dim, dim))) / np.sqrt(2.0)
-
-
 def _haar_unitaries(count: int, dim: int, rng: np.random.Generator) -> np.ndarray:
     """Stack of ``count`` Haar-random dim x dim unitaries, shape (count, dim, dim).
 
-    QR orthonormalization of complex Gaussian matrices; the R factor's
-    diagonal phases are divided out, which removes the QR sign ambiguity
-    and makes the distribution properly uniform (Mezzadri,
-    arXiv:math-ph/0609050). :func:`_haar_qubit_unitaries` is the closed
-    form of the 2 x 2 case: the same draws, equal to rounding.
+    QR orthonormalization of standard complex Gaussian matrices, real parts
+    drawn before imaginary parts; the R factor's diagonal phases are
+    divided out, which removes the QR sign ambiguity and makes the
+    distribution properly uniform (Mezzadri, arXiv:math-ph/0609050).
     """
-    q, r = np.linalg.qr(_complex_gaussians(count, dim, rng))
+    z = (rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal((count, dim, dim))) / np.sqrt(2.0)
+    q, r = np.linalg.qr(z)
     d = np.diagonal(r, axis1=1, axis2=2)
     return q * (d / np.abs(d))[:, np.newaxis, :]
 
 
 def _haar_qubit_unitaries(count: int, rng: np.random.Generator) -> np.ndarray:
-    """``_haar_unitaries(count, 2, rng)`` in closed form, without LAPACK.
+    """Stack of ``count`` Haar-random 2 x 2 unitaries of determinant 1
+    (Haar on SU(2)), shape (count, 2, 2), from one draw of 4 standard
+    normals per matrix.
 
-    For Gaussian columns a, b, the QR with a positive R diagonal has first
-    column q = a/|a| and second column phase(det[q, b]) (-conj q_2, conj q_1):
-    the unit vector orthogonal to q whose overlap with b is real and
-    positive. It reads the same draws, so it equals the QR form to rounding,
-    which grows as a and b approach parallel.
+    A row g of Gaussians divided by its norm is uniform on the 3-sphere,
+    the unit quaternions (Muller, Commun. ACM 2:19, 1959); with
+    alpha = g0 + i g1 and beta = g2 + i g3 the matrix is
+    [[alpha, -conj beta], [beta, conj alpha]]. A U(2) Haar unitary is this
+    times a uniform global phase, which no fidelity |<t|(u (x) 1)|s>|^2
+    can see, so the oracle's scores have the same distribution under both;
+    the draws are not those of :func:`_haar_unitaries`.
     """
-    z = _complex_gaussians(count, 2, rng)
-    a, b = z[:, :, 0], z[:, :, 1]
-    q = a / np.linalg.norm(a, axis=1, keepdims=True)
-    det = q[:, 0] * b[:, 1] - q[:, 1] * b[:, 0]
-    phase = det / np.abs(det)
-    out = np.empty((count, 2, 2), dtype=np.complex128)
-    out[:, :, 0] = q
-    out[:, 0, 1] = -phase * q[:, 1].conj()
-    out[:, 1, 1] = phase * q[:, 0].conj()
-    return out
+    g = rng.standard_normal((count, 4))
+    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    alpha, beta = g.view(np.complex128).T
+    return np.stack((alpha, -beta.conj(), beta, alpha.conj()), axis=1).reshape(count, 2, 2)
 
 
 def _as_finite_complex(values, name: str) -> np.ndarray:
@@ -351,7 +342,8 @@ def load_state(text: str) -> StateVector:
     Amplitudes whose norm is within ``ATOL`` of 1 are kept as written, so
     ``load_state(dump_state(s))`` reproduces ``s`` bit for bit. Reduced
     precision is renormalized; a norm more than 1e-9 away from 1 is
-    rejected as malformed instead, as is a non-finite amplitude.
+    rejected as malformed instead, as is an amplitude whose real or
+    imaginary part is not finite or exceeds 1 + 1e-9 in magnitude.
     """
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines:
@@ -372,10 +364,12 @@ def load_state(text: str) -> StateVector:
             raise ValueError(f"expected 'index re im', got {ln!r}")
         try:
             idx, amp = int(fields[0]), complex(float(fields[1]), float(fields[2]))
-            if not np.isfinite(amp):
-                raise ValueError
         except ValueError:
             raise ValueError(f"malformed amplitude line {ln!r}") from None
+        # No amplitude of a unit vector has a part above 1; the bound also
+        # keeps the norm below from overflowing, and fails on nan.
+        if not (abs(amp.real) <= 1 + 1e-9 and abs(amp.imag) <= 1 + 1e-9):
+            raise ValueError(f"amplitude line {ln!r} has a part that is not finite or exceeds 1 in magnitude")
         idx = _checked(idx, f"amplitude index for {n} qubit(s)", 0, amps.shape[0] - 1)
         if idx in seen:
             raise ValueError(f"duplicate index {idx}")

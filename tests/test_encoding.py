@@ -388,10 +388,13 @@ class TestReachabilityOracle:
 
 def _first_oracle_matrix(catalog, qubit, samples, rng):
     """The first oracle's per-pair formula, kept as the reference: each
-    pair's overlaps by one einsum over Haar unitaries drawn from the one
-    stream ``rng``, in batches of ``_ORACLE_BATCH``."""
+    pair's overlaps by one einsum over SU(2) unitaries [[a, -conj b],
+    [b, conj a]] built here from four normals each, drawn from the one
+    stream ``rng`` in batches of ``_ORACLE_BATCH``."""
     batches = range(0, samples, _ORACLE_BATCH)
-    unitaries = np.concatenate([_haar_unitaries(min(_ORACLE_BATCH, samples - s), 2, rng) for s in batches])
+    g = np.concatenate([rng.standard_normal((min(_ORACLE_BATCH, samples - s), 4)) for s in batches])
+    a, b = (g[:, 0::2] + 1j * g[:, 1::2]).T / np.linalg.norm(g, axis=1)
+    unitaries = np.stack([np.stack([a, -b.conj()], axis=1), np.stack([b, a.conj()], axis=1)], axis=1)
     n = catalog.n_qubits
     rows = [
         np.moveaxis(catalog.state(i).amplitudes.reshape((2,) * n), qubit - 1, 0).reshape(2, -1)
@@ -481,3 +484,30 @@ class TestReachabilityOracleMatrix:
         from_int = reachability_oracle_matrix(cat, 1, samples=500, rng_seed=7)
         from_generator = reachability_oracle_matrix(cat, 1, samples=500, rng_seed=np.random.default_rng(7))
         assert np.array_equal(from_generator, from_int)
+
+
+@pytest.mark.parametrize(
+    "catalog_fn,qubit,i,j,optimum", [(ghz_catalog, 1, 1, 3, 1.0), (phi_catalog, 3, 1, 5, 0.25)]
+)
+def test_su2_and_u2_draws_give_the_same_fidelity_moments(catalog_fn, qubit, i, j, optimum):
+    """A fidelity cannot see a unitary's global phase, so single-sample
+    fidelities under Haar on SU(2) (the oracle's draws) and on U(2) (the
+    batched QR) agree in distribution: equal first and second moments by a
+    two-sample z test at z = 5, over 10^5 draws each. For a reachable ghz
+    pair F = |tr v|^2 / 4 with v Haar, so E[F] = 1/4 and E[F^2] = 1/8."""
+    cat, count = catalog_fn(), 100_000
+    source, target = cat.state(i), cat.state(j)
+    v = reachable_by_single_qubit(source, target, qubit)
+    assert (1.0 if v.reachable else v.obstruction**2) == pytest.approx(optimum, abs=1e-12)
+    n = cat.n_qubits
+    x, y = (np.moveaxis(s.amplitudes.reshape((2,) * n), qubit - 1, 0).reshape(2, -1) for s in (source, target))
+    coeffs = (y.conj() @ x.T).ravel()
+    rng = np.random.default_rng(0)
+    draws = (_haar_unitaries(count, 2, rng), _haar_qubit_unitaries(count, rng))
+    qr, su2 = (np.abs(u.reshape(-1, 4) @ coeffs) ** 2 for u in draws)
+    for power in (1, 2):
+        a, b = qr**power, su2**power
+        assert abs(a.mean() - b.mean()) <= 5 * np.sqrt((a.var() + b.var()) / count)
+        if optimum == 1.0:
+            for sample in (a, b):
+                assert abs(sample.mean() - (1 / 4, 1 / 8)[power - 1]) <= 5 * np.sqrt(sample.var() / count)

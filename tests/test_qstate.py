@@ -15,7 +15,6 @@ from ghzdense.qstate import (
     StateVector,
     UnitaryMatrix,
     _haar_qubit_unitaries,
-    _haar_unitaries,
     apply_on_subset,
     basis_state,
     dump_state,
@@ -340,22 +339,20 @@ class TestHaarRandomUnitary:
 
 
 class TestHaarQubitUnitaries:
-    """The closed-form 2 x 2 draws against the batched QR they replace in the oracle."""
+    """The oracle's 2 x 2 draws: Haar on SU(2), four normals per matrix."""
 
     @pytest.mark.parametrize("count", [1, 2, 257, 50_003])
-    def test_equals_the_qr_draws_and_leaves_the_stream_at_the_same_point(self, count):
-        eps = np.finfo(float).eps
+    def test_has_determinant_1_and_draws_four_normals_per_matrix(self, count):
         for seed in (0, 1, 5, 12345):
-            closed, qr, draws = (np.random.default_rng(seed) for _ in range(3))
-            got, want = _haar_qubit_unitaries(count, closed), _haar_unitaries(count, 2, qr)
-            # Where a draw's two columns are nearly parallel, the second column's
-            # phase is ill-conditioned in both forms: rounding grows as 1/sin(angle).
-            z = draws.standard_normal((count, 2, 2)) + 1j * draws.standard_normal((count, 2, 2))
-            sine = np.abs(np.linalg.det(z)) / np.prod(np.linalg.norm(z, axis=1), axis=1)
-            tolerance = np.maximum(1e-13, 16 * eps / sine)
-            assert np.all(np.abs(got - want).max(axis=(1, 2)) <= tolerance)
-            assert np.abs(got[:, :, 0] - want[:, :, 0]).max() <= 1e-13
-            assert closed.random() == qr.random()
+            rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+            u = _haar_qubit_unitaries(count, rng)
+            assert u.shape == (count, 2, 2)
+            assert np.abs(np.linalg.det(u) - 1).max() <= 1e-14
+            g = twin.standard_normal((count, 4))
+            assert rng.random() == twin.random()
+            # The first column is the normalised draw, real parts first.
+            first = (g[:, 0::2] + 1j * g[:, 1::2]) / np.linalg.norm(g, axis=1, keepdims=True)
+            assert np.abs(u[:, :, 0] - first).max() <= 1e-15
 
     def test_every_draw_is_unitary_within_1e_14(self):
         u = _haar_qubit_unitaries(50_003, np.random.default_rng(3))

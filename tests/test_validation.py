@@ -68,6 +68,8 @@ REJECTED = {
     "load_state amplitude 0 nan 0": lambda: load_state("nqubits 1\n0 nan 0\n"),
     "load_state amplitude 0 1 nan": lambda: load_state("nqubits 1\n0 1 nan\n"),
     "load_state amplitude 1 inf 0": lambda: load_state("nqubits 1\n1 inf 0\n"),
+    "load_state amplitude 0 1e200 0": lambda: load_state("nqubits 1\n0 1e200 0\n"),
+    "load_state amplitude 0 1e308 1e308": lambda: load_state("nqubits 1\n0 1e308 1e308\n"),
     "run_trials trials=2**63": lambda: run_trials("ghz3", INT64_MAX + 1),
     "embed_on_subset n_qubits=2.0": lambda: embed_on_subset(CNOT, (1, 2), 2.0),
     "basis_state 40 bits": lambda: basis_state("0" * 40),
