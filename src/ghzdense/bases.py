@@ -174,6 +174,7 @@ class OrthonormalityReport:
     max_diagonal_deviation: float
 
     def within(self, tol: float = ATOL) -> bool:
+        tol = _checked(tol, "tol", 0, kind=float)
         return self.max_off_diagonal <= tol and self.max_diagonal_deviation <= tol
 
 

@@ -206,7 +206,7 @@ def _build_parser() -> _Parser:
     reach.add_argument("--basis", required=True, choices=tuple(_CATALOGS))
     reach.add_argument("--qubit", type=int, default=1)
     reach.add_argument("--oracle", action="store_true", help="also print best sampled fidelities")
-    reach.add_argument("--samples", type=int, help="oracle sample count (default 10000); needs --oracle")
+    reach.add_argument("--samples", type=int, help="oracle sample count, at most 10^8 (default 10000); needs --oracle")
     reach.add_argument("--seed", type=int, help="oracle seed (default 0); needs --oracle")
     reach.add_argument("--json", action="store_true")
     reach.set_defaults(handler=_cmd_reach)

@@ -35,6 +35,7 @@ from .qstate import fidelity_up_to_phase
 REACH_ATOL = 1e-10  # Gram comparisons accumulate a few products
 _WITNESS_MIN_FIDELITY = 1.0 - 1e-9
 _ORACLE_BATCH = 50_000  # unitaries per Haar draw
+_MAX_SAMPLES = 10**8  # oracle samples per call: about a minute for a catalog
 _ORACLE_CHUNK = 256  # unitaries per scoring product; bounds the overlaps at 256 x distinct pair columns
 
 _GHZ, _BELL = ghz_family(3), ghz_family(2)
@@ -146,7 +147,7 @@ def _best_sampled_fidelities(sources, targets, qubit: int, samples, rng_seed) ->
     see a unitary's global phase, so the best scores have the distribution
     that Haar draws on U(2) would give.
     """
-    samples = _checked(samples, "samples", 1)
+    samples = _checked(samples, "samples", 1, _MAX_SAMPLES)
     states = list({id(s): s for s in (*sources, *targets)}.values())
     rows = dict(zip(map(id, states), _cofactors(states, qubit)))
     coeffs = np.stack([(rows[id(t)].conj() @ rows[id(s)].T).ravel() for s in sources for t in targets], axis=1)
@@ -173,6 +174,8 @@ def reachability_oracle(
     apply ``samples`` Haar-random unitaries to ``qubit`` of ``source`` and
     return the best fidelity (up to phase) against ``target`` seen.
 
+    ``samples`` is an integer in [1, 10^8]; the ceiling, about a minute of
+    sampling, keeps a mistyped count from running until killed.
     ``rng_seed`` is an integer seed >= 0 or a ``numpy.random.Generator``;
     anything else, bools and floats included, is a ``ValueError``.
     Results are a deterministic function of the arguments. This is the

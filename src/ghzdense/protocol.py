@@ -138,6 +138,9 @@ class TrialReport:
         ``bits_per_transmitted_qubit`` the protocol's own, and each
         histogram must hold one count per message, summing to ``trials``."""
 
+        if not isinstance(data, Mapping):
+            raise ValueError(f"trial report must be a mapping, got {type(data).__name__}")
+
         def real(key, high=None):
             return _checked(data[key], key, 0, high, kind=float)
 

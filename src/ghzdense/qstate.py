@@ -9,6 +9,18 @@ Conventions, fixed across the whole package:
 * Exact-algebra checks use the shared tolerance ``ATOL`` (1e-12). The
   amplitudes handled here are signed powers of 1/sqrt(2), so everything
   should hold near machine precision.
+
+Input contract of the whole package: a number, string, sequence or
+mapping parameter that the package rejects raises ``ValueError``, which
+the command line reports with exit code 2. Numbers are checked by
+``_checked``. Amplitudes and matrix entries are admitted by
+``_as_finite_complex`` alone, before any norm or product is taken: no
+amplitude of a unit vector and no entry of a unitary has a part above 1,
+so a larger part is rejected there. A parameter that holds one of the
+package's objects (``StateVector``, ``UnitaryMatrix``, ``BasisCatalog``,
+``ChannelConfig``, or the states of a catalog) is outside that contract:
+passing something else there raises whatever Python raises, usually
+``TypeError`` or ``AttributeError``.
 """
 
 from __future__ import annotations
@@ -33,7 +45,10 @@ def _checked(value, name: str, low, high=None, kind=int):
         if isinstance(value, (bool, np.bool_)) or not isinstance(value, kinds):
             what = "an integer" if kind is int else "a real number"
             raise ValueError(f"{name} must be {what}, got {value!r}")
-        value = kind(value)
+        try:
+            value = kind(value)
+        except OverflowError:  # an int beyond float range
+            raise ValueError(f"{name} must be a real number, got an integer beyond float range") from None
     if not (low <= value if high is None else low <= value <= high):
         bound = f"be >= {low}" if high is None else f"lie in [{low}, {high}]"
         raise ValueError(f"{name} must {bound}, got {value!r}")
@@ -93,9 +108,20 @@ def _haar_qubit_unitaries(count: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _as_finite_complex(values, name: str) -> np.ndarray:
-    arr = np.array(values, dtype=np.complex128)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must contain only finite values")
+    """``values`` as a fresh read-only complex array, the package's one
+    admission rule for amplitudes and matrix entries: each real and
+    imaginary part must be at most 1 + 1e-9 in magnitude, which also
+    rejects nan and +-inf. Anything that does not convert, an int beyond
+    float range included, is a ``ValueError``; so is a bad part, named by
+    its entry's index and value."""
+    try:
+        arr = np.array(values, dtype=np.complex128)
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"{name} must be complex numbers ({exc})") from None
+    if not np.abs(arr.reshape(-1).view(np.float64)).max(initial=0.0) <= 1 + 1e-9:  # not >, so nan fails
+        at = tuple(np.argwhere(~(np.maximum(abs(arr.real), abs(arr.imag)) <= 1 + 1e-9))[0].tolist())
+        raise ValueError(f"{name}{list(at)} = {arr[at]} has a part that is not finite or exceeds 1 in magnitude")
+    arr.setflags(write=False)
     return arr
 
 
@@ -112,7 +138,6 @@ class StateVector:
         norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) > ATOL:
             raise ValueError(f"state norm {norm} deviates from 1 by more than {ATOL}")
-        amps.setflags(write=False)
         self._amps = amps
         self._n_qubits = n
 
@@ -166,7 +191,6 @@ class UnitaryMatrix:
         defect = float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))
         if defect > ATOL:
             raise ValueError(f"matrix is not unitary (max |U^H U - I| = {defect:.3e})")
-        m.setflags(write=False)
         self._entries = m
 
     @property
@@ -206,7 +230,7 @@ _NAMED_GATES = {"I": IDENTITY, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z, "H": HA
 
 def basis_state(bits: str) -> StateVector:
     """Computational basis ket from its bit-string label, e.g. ``"011"``."""
-    if not bits or any(c not in "01" for c in bits):
+    if not isinstance(bits, str) or not bits or any(c not in "01" for c in bits):
         raise ValueError(f"malformed bit string {bits!r}")
     _checked(len(bits), "bit string length", 1, MAX_QUBITS)
     amps = np.zeros(1 << len(bits), dtype=np.complex128)
@@ -244,7 +268,10 @@ def _split(state: StateVector, qubits: Sequence[int]) -> tuple[tuple[int, ...], 
     register into a subset and the rest, and its one qubit-subset check;
     transposing the (2,) * n array by the inverse order undoes the split."""
     n = state.n_qubits
-    axes = tuple(_checked(q, "qubit", 1, n) - 1 for q in qubits)
+    try:
+        axes = tuple(_checked(q, "qubit", 1, n) - 1 for q in qubits)
+    except TypeError:  # not iterable
+        raise ValueError(f"qubits must be a sequence of qubit positions, got {type(qubits).__name__}") from None
     if not axes:
         raise ValueError("qubit subset is empty")
     if len(set(axes)) != len(axes):
@@ -342,9 +369,11 @@ def load_state(text: str) -> StateVector:
     Amplitudes whose norm is within ``ATOL`` of 1 are kept as written, so
     ``load_state(dump_state(s))`` reproduces ``s`` bit for bit. Reduced
     precision is renormalized; a norm more than 1e-9 away from 1 is
-    rejected as malformed instead, as is an amplitude whose real or
-    imaginary part is not finite or exceeds 1 + 1e-9 in magnitude.
+    rejected as malformed instead. The amplitudes pass the admission rule
+    of :class:`StateVector` before the norm is taken.
     """
+    if not isinstance(text, str):
+        raise ValueError(f"state text must be a str, got {type(text).__name__}")
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines:
         raise ValueError("empty state text")
@@ -366,16 +395,12 @@ def load_state(text: str) -> StateVector:
             idx, amp = int(fields[0]), complex(float(fields[1]), float(fields[2]))
         except ValueError:
             raise ValueError(f"malformed amplitude line {ln!r}") from None
-        # No amplitude of a unit vector has a part above 1; the bound also
-        # keeps the norm below from overflowing, and fails on nan.
-        if not (abs(amp.real) <= 1 + 1e-9 and abs(amp.imag) <= 1 + 1e-9):
-            raise ValueError(f"amplitude line {ln!r} has a part that is not finite or exceeds 1 in magnitude")
         idx = _checked(idx, f"amplitude index for {n} qubit(s)", 0, amps.shape[0] - 1)
         if idx in seen:
             raise ValueError(f"duplicate index {idx}")
         seen.add(idx)
         amps[idx] = amp
-    norm = float(np.linalg.norm(amps))
+    norm = float(np.linalg.norm(_as_finite_complex(amps, "amplitudes")))
     if abs(norm - 1.0) > 1e-9:
         raise ValueError(f"state norm {norm} too far from 1")
     return StateVector(amps if abs(norm - 1.0) <= ATOL else amps / norm)

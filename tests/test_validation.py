@@ -4,28 +4,55 @@ Integer parameters accept Python and numpy integers and store plain
 ints; bools, floats and other types are rejected. Seeds are integers
 >= 0, and the library also takes a ``numpy.random.Generator``. Every
 rejection is a ``ValueError``, which the CLI turns into exit code 2.
+The probe tests at the end hand hostile values to every number, string,
+sequence and mapping parameter of the public API and to every CLI
+option. Parameters that hold the package's objects are outside the
+contract (see ``ghzdense.qstate``).
 """
 
 import json
+import math
+import re
 from functools import partial
 
 import numpy as np
 import pytest
 
-from ghzdense.bases import bell_state, ghz_state
-from ghzdense.cli import main
+from ghzdense.bases import (
+    bell_catalog,
+    bell_state,
+    catalog_by_name,
+    ghz_catalog,
+    ghz_family,
+    ghz_state,
+    phi_state,
+    verify_orthonormal,
+)
+from ghzdense.cli import dispatch, main
 from ghzdense.encoding import (
     bell_encode,
     encode,
     encoding_op,
+    reachability_matrix,
     reachability_oracle,
+    reachability_oracle_matrix,
     reachable_by_single_qubit,
 )
-from ghzdense.ghzmeasure import outcome_for_index
-from ghzdense.protocol import ChannelConfig, TrialReport, run_trials
+from ghzdense.ghzmeasure import decode, ghz_measure, outcome_for_index
+from ghzdense.protocol import (
+    ChannelConfig,
+    TrialReport,
+    bell_measure,
+    roundtrip_bell,
+    roundtrip_ghz,
+    run_trials,
+)
 from ghzdense.qstate import (
     CNOT,
     PAULI_X,
+    StateVector,
+    UnitaryMatrix,
+    apply_on_subset,
     basis_state,
     embed_on_subset,
     haar_random_unitary,
@@ -84,6 +111,21 @@ REJECTED = {
     "TrialReport.from_json_dict trials=True": lambda: TrialReport.from_json_dict({**REPORT, "trials": True}),
     "basis_state('')": lambda: basis_state(""),
     "basis_state('012')": lambda: basis_state("012"),
+    "StateVector([1e200, 0])": lambda: StateVector([1e200, 0]),
+    "StateVector([1e300j, 1e300])": lambda: StateVector([1e300j, 1e300]),
+    "StateVector([10**400, 0])": lambda: StateVector([10**400, 0]),
+    "StateVector([None, 1])": lambda: StateVector([None, 1]),
+    "StateVector({})": lambda: StateVector({}),
+    "UnitaryMatrix([[1e200, 0], [0, 1]])": lambda: UnitaryMatrix([[1e200, 0], [0, 1]]),
+    "pauli_error_prob=10**400": lambda: ChannelConfig(pauli_error_prob=10**400),
+    "basis_state(True)": lambda: basis_state(True),
+    "apply_on_subset qubits=1": lambda: apply_on_subset(ghz_state(1), PAULI_X, 1),
+    "TrialReport.from_json_dict(np.int64(2))": lambda: TrialReport.from_json_dict(np.int64(2)),
+    "load_state(5)": lambda: load_state(5),
+    "reachability_oracle samples=2**70": lambda: reachability_oracle(
+        ghz_state(1), ghz_state(3), 1, samples=2**70
+    ),
+    "OrthonormalityReport.within tol=None": lambda: verify_orthonormal(ghz_catalog()).within(None),
 }
 
 # Payloads with every field present but wrong in type, range or
@@ -93,6 +135,7 @@ CONTRADICTORY_REPORTS = {
     "protocol='nope'": {"protocol": "nope"},
     "success_rate=True": {"success_rate": True},
     "success_rate=nan": {"success_rate": float("nan")},
+    "success_rate=10**400": {"success_rate": 10**400},
     "successes=3 with success_rate=1.0": {"successes": 3},
     "successes=99 of 10 trials": {"successes": 99},
     "messages_histogram of 5 entries": {"messages_histogram": [*REPORT["messages_histogram"], 0]},
@@ -220,3 +263,160 @@ def test_cli_trial_count_beyond_int64_exits_2_naming_trials(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "trials" in captured.err
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("nqubits 2\n0 0.5 0\n3 1e200 0\n", "amplitudes[3] = (1e+200+0j)"),
+        ("nqubits 2\n2 0 nan\n0 1 0\n", "amplitudes[2] = nanj"),
+    ],
+)
+def test_a_bad_state_file_amplitude_is_named_by_index_and_value(text, where):
+    with pytest.raises(ValueError, match=f"^{re.escape(where)} has a part that is not finite"):
+        load_state(text)
+
+
+def test_a_bad_matrix_entry_is_named_by_row_and_column():
+    with pytest.raises(ValueError, match=r"^entries\[1, 0\] = \(inf\+0j\)"):
+        UnitaryMatrix([[1, 0], [math.inf, 1]])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: StateVector(1), "amplitudes must be one-dimensional"),
+        (lambda: StateVector([[1, 0]]), "amplitudes must be one-dimensional"),
+        (lambda: UnitaryMatrix([1, 0]), "entries must form a square matrix"),
+    ],
+)
+def test_shape_messages_stay_with_their_constructors(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
+# Values a number, string, sequence or mapping parameter may be handed.
+HOSTILE = (True, False, np.bool_(True), np.int64(2), np.int64(-1), np.float64(0.5), np.float32("nan"))
+HOSTILE += (math.nan, math.inf, -math.inf, 1e308, -1e308, 2**70, -(2**70), 10**4300)  # the last has 4301 digits
+HOSTILE += ("", "1", "011", "psi3", "nan", None, [], [1, 2], [0.5, 0.5], [[1, 0], [0, 1]], {1: "X"}, {})
+
+GHZ1, GHZ3 = ghz_state(1), ghz_state(3)
+# Every public entry point's number, string, sequence and mapping
+# parameters, one at a time. Oracle calls draw 20 samples unless the
+# sample count is the parameter under probe; the ceiling bounds that one.
+PROBES = {
+    "StateVector amplitudes": StateVector,
+    "UnitaryMatrix entries": UnitaryMatrix,
+    "basis_state bits": basis_state,
+    "apply_on_subset qubits": lambda v: apply_on_subset(GHZ1, PAULI_X, v),
+    "embed_on_subset qubits": lambda v: embed_on_subset(PAULI_X, v, 2),
+    "embed_on_subset n_qubits": lambda v: embed_on_subset(PAULI_X, (1,), v),
+    "measure_computational rng_seed": lambda v: measure_computational(GHZ1, v),
+    "haar_random_unitary dim": lambda v: haar_random_unitary(v, 0),
+    "haar_random_unitary rng_seed": lambda v: haar_random_unitary(2, v),
+    "load_state text": load_state,
+    "ghz_family n": ghz_family,
+    "bell_state index": bell_state,
+    "ghz_state index": ghz_state,
+    "phi_state index": phi_state,
+    "BasisCatalog.state index": lambda v: ghz_catalog().state(v),
+    "catalog_by_name name": catalog_by_name,
+    "OrthonormalityReport.within tol": lambda v: verify_orthonormal(ghz_catalog()).within(v),
+    "decode outcome": decode,
+    "outcome_for_index index": outcome_for_index,
+    "ghz_measure rng_seed": lambda v: ghz_measure(GHZ1, v),
+    "bell_measure rng_seed": lambda v: bell_measure(bell_state(1), v),
+    "encoding_op message": encoding_op,
+    "encode message": encode,
+    "bell_encode message": bell_encode,
+    "reachable_by_single_qubit qubit": lambda v: reachable_by_single_qubit(GHZ1, GHZ3, v),
+    "reachability_oracle qubit": lambda v: reachability_oracle(GHZ1, GHZ3, v, 20),
+    "reachability_oracle samples": lambda v: reachability_oracle(GHZ1, GHZ3, 1, v),
+    "reachability_oracle rng_seed": lambda v: reachability_oracle(GHZ1, GHZ3, 1, 20, v),
+    "reachability_matrix qubit": lambda v: reachability_matrix(bell_catalog(), v),
+    "reachability_oracle_matrix qubit": lambda v: reachability_oracle_matrix(bell_catalog(), v, 20),
+    "reachability_oracle_matrix samples": lambda v: reachability_oracle_matrix(bell_catalog(), 1, v),
+    "reachability_oracle_matrix rng_seed": lambda v: reachability_oracle_matrix(bell_catalog(), 1, 20, v),
+    "ChannelConfig pauli_error_prob": lambda v: ChannelConfig(pauli_error_prob=v),
+    "ChannelConfig rng_seed": lambda v: ChannelConfig(rng_seed=v),
+    "ChannelConfig forced_errors": lambda v: ChannelConfig(forced_errors=v),
+    "run_trials protocol": lambda v: run_trials(v, 10),
+    "run_trials trials": lambda v: run_trials("bell2", v),
+    "run_trials fixed_message": lambda v: run_trials("bell2", 10, fixed_message=v),
+    "roundtrip_ghz message": roundtrip_ghz,
+    "roundtrip_bell message": roundtrip_bell,
+    "TrialReport.from_json_dict data": TrialReport.from_json_dict,
+}
+PROBES.update(
+    (f"TrialReport.from_json_dict {key}", lambda v, key=key: TrialReport.from_json_dict({**REPORT, key: v}))
+    for key in REPORT
+)
+
+
+def probed(check, fixed):
+    """``check`` as a hypothesis test: each of ``fixed`` as an explicit
+    example, then drawn small integers, floats and short strings. Small
+    integers keep every sampled call short."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    test = hypothesis.given(st.one_of(st.integers(-3, 9), st.floats(), st.text(max_size=4)))(check)
+    for value in fixed:
+        test = hypothesis.example(value)(test)
+    return hypothesis.settings(max_examples=20)(test)
+
+
+@pytest.mark.parametrize("call", PROBES.values(), ids=PROBES.keys())
+def test_any_value_gives_a_result_or_value_error(call):
+    def check(value):
+        try:
+            call(value)
+        except ValueError:
+            pass
+
+    probed(check, HOSTILE)()
+
+
+# Each CLI option, with the token under probe in place of "{}".
+CLI_OPTIONS = {
+    "bases verify --basis": "bases verify --basis {}",
+    "bases dump --basis": "bases dump --basis {} --index 1",
+    "bases dump --index": "bases dump --basis ghz --index {}",
+    "encode --message": "encode --message {}",
+    "reach --basis": "reach --basis {}",
+    "reach --qubit": "reach --basis bell --qubit {}",
+    "reach --samples": "reach --basis bell --oracle --samples {}",
+    "reach --seed": "reach --basis bell --oracle --samples 20 --seed {}",
+    "network apply --state-file": "network apply --state-file {}",
+    "roundtrip --protocol": "roundtrip --protocol {}",
+    "roundtrip --trials": "roundtrip --protocol bell2 --trials {}",
+    "roundtrip --seed": "roundtrip --protocol bell2 --seed {}",
+    "roundtrip --noise": "roundtrip --protocol bell2 --noise {}",
+    "roundtrip --message": "roundtrip --protocol ghz3 --message {}",
+    "capacity": "capacity {}",
+}
+TOKENS = ("True", "nan", "inf", "-inf", "1e308", str(2**70), "9" * 4301, "", "abc", "None", "[1, 2]", "{}")
+TOKENS += ("-1", "0", "1", "psi3", "1.5", "0x10", "１", "--json")
+
+
+def _exits_cleanly(argv):
+    result = dispatch(argv)
+    assert result.exit_code in (0, 1, 2), (argv, result)
+    assert "Traceback" not in result.stdout
+
+
+@pytest.mark.parametrize("template", CLI_OPTIONS.values(), ids=CLI_OPTIONS.keys())
+def test_any_option_token_exits_0_1_or_2(template):
+    def check(value):
+        _exits_cleanly([str(value) if word == "{}" else word for word in template.split()])
+
+    probed(check, TOKENS)()
+
+
+def test_any_state_file_amplitude_exits_0_1_or_2(tmp_path):
+    path = tmp_path / "state.txt"
+
+    def check(value):
+        path.write_text(f"nqubits 1\n0 {value} 0\n", encoding="utf-8")
+        _exits_cleanly(["network", "apply", "--state-file", str(path)])
+
+    probed(check, TOKENS)()
