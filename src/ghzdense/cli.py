@@ -19,10 +19,9 @@ from .bases import _CATALOGS, BasisCatalog, catalog_by_name, ghz_catalog, verify
 from .encoding import encode, reachability_matrix, reachability_oracle_matrix
 from .ghzmeasure import DECODE_TABLE, GATE_SEQUENCE, disentangle
 from .protocol import PROTOCOL_NAMES, ChannelConfig, _family, capacity_summary, run_trials
-from .qstate import ATOL, _checked, dump_state, load_state
+from .qstate import _SHOWN_DIGITS, ATOL, _abbreviated, _checked, dump_state, load_state
 
 _INDEX_PREFIX = {"ghz": "psi", "phi": "phi", "bell": "bell"}
-_MAX_INDEX_DIGITS = 20  # longer indices are echoed shortened in the range error
 
 
 @dataclass(frozen=True)
@@ -74,9 +73,8 @@ def _parse_state_index(text: str, catalog: BasisCatalog) -> int:
     if head not in ("", expected) or not digits:
         raise ValueError(f"malformed state index {text!r}")
     digits = digits.lstrip("0") or "0"
-    if len(digits) > _MAX_INDEX_DIGITS:  # out of range, and too long to echo or to pass to int()
-        shown = f"{digits[:8]}...{digits[-4:]} ({len(digits)} digits)"
-        raise ValueError(f"index must lie in [1, {len(catalog)}], got {shown}")
+    if len(digits) > _SHOWN_DIGITS:  # out of range, and perhaps too long to pass to int()
+        raise ValueError(f"index must lie in [1, {len(catalog)}], got {_abbreviated(digits)}")
     return _checked(int(digits), "index", 1, len(catalog))
 
 

@@ -20,6 +20,14 @@ already carries the up-to-phase freedom. When the verdict is positive,
 the witness is the unitary polar factor of Y X^H; when negative, the
 largest achievable overlap |<target| (u (x) 1) |source>| over all
 unitaries u is the nuclear norm of Y X^H, reported as the obstruction.
+
+The sampled oracle cross-checks these verdicts by brute force. Each
+sample is a unit quaternion g (four normals over their norm), which is a
+Haar unitary on SU(2), and each pair's fidelity is a real quadratic form
+g^T Q g of rank at most 2, whose largest eigenvalue is the exact optimum:
+1 when reachable, else the squared obstruction. Pairs with equal Q are
+scored once (5 distinct forms of the 64 ghz pairs), in real arithmetic,
+without building a unitary.
 """
 
 from __future__ import annotations
@@ -29,14 +37,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bases import BasisCatalog, Protocol, ghz_family
-from .qstate import StateVector, UnitaryMatrix, _checked, _haar_qubit_unitaries, _rng, _split, apply_on_subset
+from .qstate import StateVector, UnitaryMatrix, _checked, _rng, _split, apply_on_subset
 from .qstate import fidelity_up_to_phase
 
 REACH_ATOL = 1e-10  # Gram comparisons accumulate a few products
 _WITNESS_MIN_FIDELITY = 1.0 - 1e-9
-_ORACLE_BATCH = 50_000  # unitaries per Haar draw
+_ORACLE_BATCH = 50_000  # samples per draw of four normals each
 _MAX_SAMPLES = 10**8  # oracle samples per call: about a minute for a catalog
-_ORACLE_CHUNK = 256  # unitaries per scoring product; bounds the overlaps at 256 x distinct pair columns
+# Samples per scoring product: it bounds the squared projections at 1024 x 2
+# per distinct form (115 KB for phi's 7), and the per-chunk calls stay few.
+_ORACLE_CHUNK = 1024
 
 _GHZ, _BELL = ghz_family(3), ghz_family(2)
 
@@ -128,39 +138,64 @@ def reachable_by_single_qubit(
     return ReachabilityVerdict(reachable=True, witness=witness)
 
 
+def _oracle_forms(sources, targets, qubit: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each (source, target) pair's fidelity under a unitary on ``qubit``,
+    as a real quadratic form on the unit quaternions: the distinct forms'
+    4 x 2c columns (c real parts, then c imaginary parts) and, per pair in
+    row-major order, the index of its form.
+
+    The overlap <target| (u (x) 1) |source> is sum_ab u_ab M_ab with
+    M = conj(Y) X^T, every pair's M from one ``einsum`` over the stacked
+    co-factors (each distinct state object split once: 8 splits for the
+    ghz matrix, not 128). For a row g of four reals, alpha = g0 + i g1 and
+    beta = g2 + i g3, the unitary u = [[alpha, -conj beta], [beta,
+    conj alpha]] / |g| has overlap g . L / |g|, with L = (M00 + M11,
+    i(M00 - M11), M10 - M01, i(M10 + M01)), so the fidelity is
+    g^T Q g / |g|^2 with Q = Re L Re L^T + Im L Im L^T, of rank at most 2.
+    Q cannot see M's phase, so pairs are deduplicated by Q: 5 distinct
+    forms of the 64 ghz pairs. A phase of -1, i or -i on M only negates
+    or swaps L's two real parts, so such pairs have the same Q bit for bit
+    and score the same floats as the pair that represents their form."""
+    states = list({id(s): s for s in (*sources, *targets)}.values())
+    rows, at = np.stack(_cofactors(states, qubit)), {id(s): i for i, s in enumerate(states)}
+    x, y = (rows[[at[id(s)] for s in group]] for group in (sources, targets))
+    m00, m01, m10, m11 = np.einsum("tad,sbd->stab", y.conj(), x).reshape(-1, 4).T
+    forms = np.stack((m00 + m11, 1j * (m00 - m11), m10 - m01, 1j * (m10 + m01)), axis=1)
+    re, im = forms.real, forms.imag
+    quadratic = re[:, :, None] * re[:, None] + im[:, :, None] * im[:, None] + 0.0  # + 0.0 turns -0.0 into 0.0
+    # Each Q compared as its 128 bytes, several times faster than np.unique over rows of floats.
+    keys = quadratic.reshape(-1, 16).view((np.void, 128)).ravel()
+    _, first, which = np.unique(keys, return_index=True, return_inverse=True)
+    return np.concatenate((re[first], im[first])).T, which
+
+
 def _best_sampled_fidelities(sources, targets, qubit: int, samples, rng_seed) -> np.ndarray:
     """Best fidelity (up to phase) for every (source, target) pair, as a
     len(sources) x len(targets) array, over one shared set of ``samples``
     Haar-random unitaries on ``qubit``: the one scorer behind both oracle
     functions.
 
-    The overlap <target| (u (x) 1) |source> is sum_ab u_ab M_ab with
-    M = conj(Y) X^T, so stacking each pair's M as a column turns one
-    (chunk, 4) @ (4, columns) product into every pair's overlaps. Each
-    distinct state object is split once (8 splits for the ghz matrix, not
-    128), and each column is still ``(y.conj() @ x.T).ravel()`` of its
-    pair's two splits, so the floats do not depend on how many states
-    share a split. Pairs with equal columns have equal overlaps, so each
-    distinct column is scored once (7 of the 64 ghz pairs' columns are
-    distinct). The unitaries are Haar draws on SU(2),
-    ``qstate._haar_qubit_unitaries``, four normals each: a fidelity cannot
-    see a unitary's global phase, so the best scores have the distribution
-    that Haar draws on U(2) would give.
+    Each sample is a row g of four standard normals, divided by its norm:
+    uniform on the 3-sphere, the unit quaternions (Muller, Commun. ACM
+    2:19, 1959), which :func:`_oracle_forms`' u maps onto Haar on SU(2).
+    A U(2) Haar unitary is that times a uniform global phase, which no
+    fidelity can see, so the best scores have the distribution Haar draws
+    on U(2) would give. Every distinct form is scored in real arithmetic
+    by one (chunk, 4) @ (4, 2c) product per chunk, whose two halves,
+    squared and added, are the c fidelities; no unitary is built.
     """
     samples = _checked(samples, "samples", 1, _MAX_SAMPLES)
-    states = list({id(s): s for s in (*sources, *targets)}.values())
-    rows = dict(zip(map(id, states), _cofactors(states, qubit)))
-    coeffs = np.stack([(rows[id(t)].conj() @ rows[id(s)].T).ravel() for s in sources for t in targets], axis=1)
-    coeffs, which = np.unique(coeffs, axis=1, return_inverse=True)
+    columns, which = _oracle_forms(sources, targets, qubit)
+    count = columns.shape[1] // 2
     rng = _rng(rng_seed)
-    best = np.zeros(coeffs.shape[1])
+    best = np.zeros(count)
     for start in range(0, samples, _ORACLE_BATCH):
-        batch = _haar_qubit_unitaries(min(samples - start, _ORACLE_BATCH), rng).reshape(-1, 4)
-        for chunk in range(0, batch.shape[0], _ORACLE_CHUNK):
-            overlaps = np.abs(batch[chunk : chunk + _ORACLE_CHUNK] @ coeffs) ** 2
-            np.maximum(best, overlaps.max(axis=0), out=best)
-    # numpy 2.0.0 gives the inverse the input's ndim, hence the flat index
-    return best[which.reshape(-1)].reshape(len(sources), len(targets))
+        g = rng.standard_normal((min(samples - start, _ORACLE_BATCH), 4))
+        g /= np.linalg.norm(g, axis=1, keepdims=True)
+        for chunk in range(0, g.shape[0], _ORACLE_CHUNK):
+            parts = (g[chunk : chunk + _ORACLE_CHUNK] @ columns) ** 2
+            np.maximum(best, (parts[:, :count] + parts[:, count:]).max(axis=0), out=best)
+    return best[which].reshape(len(sources), len(targets))
 
 
 def reachability_oracle(

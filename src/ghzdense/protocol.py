@@ -45,7 +45,7 @@ import numpy as np
 from .bases import Protocol, ghz_family
 from .encoding import _encode
 from .ghzmeasure import _read_out, _run_network, ghz_measure
-from .qstate import _NAMED_GATES, StateVector, _checked, _rng, apply_on_subset
+from .qstate import _NAMED_GATES, StateVector, _checked, _rng, _shown, apply_on_subset
 
 _BELL = ghz_family(2)
 _BY_NAME = {family.name: family for family in (ghz_family(3), _BELL)}
@@ -208,7 +208,7 @@ def _pauli_tables(family: Protocol, channel: ChannelConfig) -> list[dict[str, fl
     forced = dict(channel.forced_errors)
     for q in forced:
         if q not in family.transit:
-            raise ValueError(f"forced error on qubit {q}, but only qubits {family.transit} are in transit")
+            raise ValueError(f"forced error on qubit {_shown(q)}, but only qubits {family.transit} are in transit")
     return [{g: float(g == forced.get(q, "I")) for g in ("I", *_ERRORS)} for q in family.transit]
 
 

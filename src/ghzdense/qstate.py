@@ -16,7 +16,9 @@ the command line reports with exit code 2. Numbers are checked by
 ``_checked``. Amplitudes and matrix entries are admitted by
 ``_as_finite_complex`` alone, before any norm or product is taken: no
 amplitude of a unit vector and no entry of a unitary has a part above 1,
-so a larger part is rejected there. A parameter that holds one of the
+so a larger part is rejected there, and so is a string, which numpy
+would parse as a number. A rejected integer of more than 20 digits is
+echoed shortened (``_shown``). A parameter that holds one of the
 package's objects (``StateVector``, ``UnitaryMatrix``, ``BasisCatalog``,
 ``ChannelConfig``, or the states of a catalog) is outside that contract:
 passing something else there raises whatever Python raises, usually
@@ -34,6 +36,24 @@ MAX_QUBITS = 20  # dense amplitude arrays; 2**20 is the supported ceiling
 # Dense 2^n x 2^n operators the package builds (embed_on_subset,
 # haar_random_unitary): 16 MB at the ceiling, against 8x8 in the protocols.
 _MAX_OPERATOR_QUBITS = 10
+_SHOWN_DIGITS = 20  # an error echoes a longer integer by its first and last digits
+
+
+def _abbreviated(digits: str) -> str:
+    """A long digit string as its first 8 and last 4 digits and its length."""
+    return f"{digits[:8]}...{digits[-4:]} ({len(digits)} digits)"
+
+
+def _shown(value) -> str:
+    """``value``'s repr for an error message, an integer of more than
+    ``_SHOWN_DIGITS`` digits abbreviated. Python writes out no integer of
+    more than 4300 digits (its repr raises), so one of more than 14000 bits
+    is shown by its size in bits."""
+    if not isinstance(value, int) or abs(value) < 10**_SHOWN_DIGITS:
+        return repr(value)
+    if value.bit_length() > 14_000:
+        return f"an integer of {value.bit_length()} bits"
+    return "-" * (value < 0) + _abbreviated(str(abs(value)))
 
 
 def _checked(value, name: str, low, high=None, kind=int):
@@ -51,7 +71,7 @@ def _checked(value, name: str, low, high=None, kind=int):
             raise ValueError(f"{name} must be a real number, got an integer beyond float range") from None
     if not (low <= value if high is None else low <= value <= high):
         bound = f"be >= {low}" if high is None else f"lie in [{low}, {high}]"
-        raise ValueError(f"{name} must {bound}, got {value!r}")
+        raise ValueError(f"{name} must {bound}, got {_shown(value)}")
     return value
 
 
@@ -88,34 +108,19 @@ def _haar_unitaries(count: int, dim: int, rng: np.random.Generator) -> np.ndarra
     return q * (d / np.abs(d))[:, np.newaxis, :]
 
 
-def _haar_qubit_unitaries(count: int, rng: np.random.Generator) -> np.ndarray:
-    """Stack of ``count`` Haar-random 2 x 2 unitaries of determinant 1
-    (Haar on SU(2)), shape (count, 2, 2), from one draw of 4 standard
-    normals per matrix.
-
-    A row g of Gaussians divided by its norm is uniform on the 3-sphere,
-    the unit quaternions (Muller, Commun. ACM 2:19, 1959); with
-    alpha = g0 + i g1 and beta = g2 + i g3 the matrix is
-    [[alpha, -conj beta], [beta, conj alpha]]. A U(2) Haar unitary is this
-    times a uniform global phase, which no fidelity |<t|(u (x) 1)|s>|^2
-    can see, so the oracle's scores have the same distribution under both;
-    the draws are not those of :func:`_haar_unitaries`.
-    """
-    g = rng.standard_normal((count, 4))
-    g /= np.linalg.norm(g, axis=1, keepdims=True)
-    alpha, beta = g.view(np.complex128).T
-    return np.stack((alpha, -beta.conj(), beta, alpha.conj()), axis=1).reshape(count, 2, 2)
-
-
 def _as_finite_complex(values, name: str) -> np.ndarray:
     """``values`` as a fresh read-only complex array, the package's one
     admission rule for amplitudes and matrix entries: each real and
     imaginary part must be at most 1 + 1e-9 in magnitude, which also
     rejects nan and +-inf. Anything that does not convert, an int beyond
-    float range included, is a ``ValueError``; so is a bad part, named by
-    its entry's index and value."""
+    float range and a str or bytes entry included, is a ``ValueError``; so
+    is a bad part, named by its entry's index and value. An ndarray is
+    checked by its dtype, and copied once."""
     try:
-        arr = np.array(values, dtype=np.complex128)
+        given = np.asarray(values)  # an ndarray as it is, not copied
+        if given.dtype.kind in "SUO" and any(isinstance(v, (str, bytes)) for v in given.flat):
+            raise TypeError("a string is not a number")  # numpy would parse it
+        arr = np.array(given, dtype=np.complex128)
     except (TypeError, OverflowError) as exc:
         raise ValueError(f"{name} must be complex numbers ({exc})") from None
     if not np.abs(arr.reshape(-1).view(np.float64)).max(initial=0.0) <= 1 + 1e-9:  # not >, so nan fails

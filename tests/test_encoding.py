@@ -11,6 +11,7 @@ from ghzdense.encoding import (
     REACH_ATOL,
     EncodingOp,
     ReachabilityVerdict,
+    _oracle_forms,
     bell_encode,
     encode,
     encoding_op,
@@ -23,7 +24,6 @@ from ghzdense.qstate import (
     ATOL,
     PAULI_X,
     StateVector,
-    _haar_qubit_unitaries,
     _haar_unitaries,
     _split,
     apply_on_subset,
@@ -405,33 +405,72 @@ def _first_oracle_matrix(catalog, qubit, samples, rng):
     )
 
 
-def _every_column_oracle_matrix(catalog, qubit, samples, rng):
-    """Every one of the k^2 pair columns scored, equal ones included, on the
-    closed-form draws from ``rng`` and in the scorer's batches and chunks."""
+def _every_form_oracle_matrix(catalog, qubit, samples, rng):
+    """Every pair's form scored, none deduplicated: all k^2 pairs' real and
+    imaginary parts of L, from the same normals and in the scorer's
+    batches and chunks."""
     n, k = catalog.n_qubits, len(catalog)
-    rows = [
-        np.moveaxis(catalog.state(i).amplitudes.reshape((2,) * n), qubit - 1, 0).reshape(2, -1)
-        for i in range(1, k + 1)
-    ]
-    coeffs = np.stack([(y.conj() @ x.T).ravel() for x in rows for y in rows], axis=1)
+    rows = np.stack([np.moveaxis(s.amplitudes.reshape((2,) * n), qubit - 1, 0).reshape(2, -1) for s in catalog.states])
+    m00, m01, m10, m11 = np.einsum("tad,sbd->stab", rows.conj(), rows).reshape(-1, 4).T
+    forms = np.stack((m00 + m11, 1j * (m00 - m11), m10 - m01, 1j * (m10 + m01)))
+    columns = np.concatenate((forms.real, forms.imag), axis=1)
     best = np.zeros(k * k)
     for start in range(0, samples, _ORACLE_BATCH):
-        batch = _haar_qubit_unitaries(min(_ORACLE_BATCH, samples - start), rng).reshape(-1, 4)
-        for chunk in range(0, len(batch), _ORACLE_CHUNK):
-            overlaps = np.abs(batch[chunk : chunk + _ORACLE_CHUNK] @ coeffs) ** 2
-            best = np.maximum(best, overlaps.max(axis=0))
+        g = rng.standard_normal((min(_ORACLE_BATCH, samples - start), 4))
+        g /= np.linalg.norm(g, axis=1, keepdims=True)
+        for chunk in range(0, len(g), _ORACLE_CHUNK):
+            parts = (g[chunk : chunk + _ORACLE_CHUNK] @ columns) ** 2
+            best = np.maximum(best, (parts[:, : k * k] + parts[:, k * k :]).max(axis=0))
     return best.reshape(k, k)
+
+
+def _su2_from_normals(g):
+    """The unitary [[a, -conj b], [b, conj a]] / |g|, with a = g0 + i g1 and
+    b = g2 + i g3, for each row g of four normals: the oracle's draws, which
+    its scorer never builds."""
+    a, b = (g[:, 0::2] + 1j * g[:, 1::2]).T / np.linalg.norm(g, axis=1)
+    return np.stack([np.stack([a, -b.conj()], axis=1), np.stack([b, a.conj()], axis=1)], axis=1)
+
+
+def _exact_optimum(catalog, qubit):
+    """Best fidelity over all unitaries on ``qubit``, per ordered pair: 1 when
+    reachable, else the squared obstruction."""
+    verdicts = [[reachable_by_single_qubit(s, t, qubit) for t in catalog.states] for s in catalog.states]
+    return np.array([[1.0 if v.reachable else v.obstruction**2 for v in row] for row in verdicts])
 
 
 class TestReachabilityOracleMatrix:
     """All pairs are scored against one shared set of Haar draws."""
 
     @pytest.mark.parametrize("catalog_fn,qubit", CATALOG_QUBITS)
-    def test_scoring_distinct_columns_once_is_exact(self, catalog_fn, qubit):
+    def test_scoring_distinct_forms_once_is_exact(self, catalog_fn, qubit):
         samples = _ORACLE_BATCH + 3
         got = reachability_oracle_matrix(catalog_fn(), qubit, samples=samples, rng_seed=3)
-        want = _every_column_oracle_matrix(catalog_fn(), qubit, samples, np.random.default_rng(3))
+        want = _every_form_oracle_matrix(catalog_fn(), qubit, samples, np.random.default_rng(3))
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("catalog_fn,qubit", CATALOG_QUBITS)
+    def test_each_form_peaks_at_the_exact_optimum(self, catalog_fn, qubit):
+        """The largest eigenvalue of a pair's Q is the best fidelity any
+        unitary on the qubit reaches, the Gram analysis' exact optimum."""
+        cat = catalog_fn()
+        columns, which = _oracle_forms(cat.states, cat.states, qubit)
+        re, im = np.split(columns, 2, axis=1)
+        quadratic = np.einsum("ic,jc->cij", re, re) + np.einsum("ic,jc->cij", im, im)
+        peaks = np.linalg.eigvalsh(quadratic)[:, -1][which].reshape(len(cat), len(cat))
+        assert np.abs(peaks - _exact_optimum(cat, qubit)).max() <= 1e-12
+
+    @pytest.mark.parametrize(
+        "catalog_fn,qubit,count",
+        [(ghz_catalog, q, 5) for q in (1, 2, 3)]
+        + [(phi_catalog, 1, 7), (phi_catalog, 2, 7), (phi_catalog, 3, 4)]
+        + [(bell_catalog, q, 4) for q in (1, 2)],
+    )
+    def test_scores_each_distinct_form_once(self, catalog_fn, qubit, count):
+        cat = catalog_fn()
+        columns, which = _oracle_forms(cat.states, cat.states, qubit)
+        assert columns.shape == (4, 2 * count)  # of 64 or 16 pairs
+        assert sorted(set(which.tolist())) == list(range(count))
 
     @pytest.mark.parametrize("catalog_fn,qubit", CATALOG_QUBITS)
     def test_every_entry_is_the_one_pair_oracle(self, catalog_fn, qubit):
@@ -486,15 +525,66 @@ class TestReachabilityOracleMatrix:
         assert np.array_equal(from_generator, from_int)
 
 
+class TestOracleDraws:
+    """The oracle's samples: four normals each, which make a Haar unitary on
+    SU(2), built here from the same normals."""
+
+    @pytest.mark.parametrize("count", [1, 2, 257, 50_003])
+    def test_four_normals_per_sample_make_a_determinant_1_unitary(self, count):
+        for seed in (0, 1, 5, 12345):
+            rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+            reachability_oracle(ghz_state(1), ghz_state(3), 1, samples=count, rng_seed=rng)
+            batches = range(0, count, _ORACLE_BATCH)
+            g = np.concatenate([twin.standard_normal((min(_ORACLE_BATCH, count - s), 4)) for s in batches])
+            assert rng.random() == twin.random()
+            u = _su2_from_normals(g)
+            assert u.shape == (count, 2, 2)
+            assert np.abs(np.linalg.det(u) - 1).max() <= 1e-14
+
+    def test_every_draw_is_unitary_within_1e_14(self):
+        u = _su2_from_normals(np.random.default_rng(3).standard_normal((50_003, 4)))
+        defect = np.abs(np.einsum("nji,njk->nik", u.conj(), u) - np.eye(2)).max()
+        assert defect <= 1e-14 < ATOL
+
+    def test_first_entry_moment(self):
+        """|u_00|^2 is uniform on [0, 1] under the Haar measure: mean 1/2,
+        standard error sqrt(1/12 / N), checked at z = 5."""
+        count = 50_003
+        values = np.abs(_su2_from_normals(np.random.default_rng(8).standard_normal((count, 4)))[:, 0, 0]) ** 2
+        assert abs(values.mean() - 0.5) <= 5 * np.sqrt(1 / 12 / count)
+
+    @pytest.mark.parametrize("catalog_fn,qubit", CATALOG_QUBITS)
+    def test_forms_score_the_unitary_overlaps(self, catalog_fn, qubit):
+        """g . L / |g| is the overlap sum_ab u_ab M_ab of the unitary built
+        from g, and the scorer's form for each pair gives its squared
+        magnitude, both within 1e-14."""
+        cat = catalog_fn()
+        g = np.random.default_rng(qubit).standard_normal((1000, 4))
+        u = _su2_from_normals(g)
+        shape = (2,) * cat.n_qubits
+        rows = [np.moveaxis(s.amplitudes.reshape(shape), qubit - 1, 0).reshape(2, -1) for s in cat.states]
+        m = np.array([[y.conj() @ x.T for y in rows] for x in rows]).reshape(-1, 2, 2)
+        overlaps = np.einsum("nab,pab->np", u, m)
+        m00, m01, m10, m11 = m.reshape(-1, 4).T
+        forms = np.stack((m00 + m11, 1j * (m00 - m11), m10 - m01, 1j * (m10 + m01)))
+        unit = g / np.linalg.norm(g, axis=1, keepdims=True)
+        assert np.abs(unit @ forms - overlaps).max() <= 1e-14
+        columns, which = _oracle_forms(cat.states, cat.states, qubit)
+        parts = (unit @ columns) ** 2
+        scored = (parts[:, : columns.shape[1] // 2] + parts[:, columns.shape[1] // 2 :])[:, which]
+        assert np.abs(scored - np.abs(overlaps) ** 2).max() <= 1e-14
+
+
 @pytest.mark.parametrize(
     "catalog_fn,qubit,i,j,optimum", [(ghz_catalog, 1, 1, 3, 1.0), (phi_catalog, 3, 1, 5, 0.25)]
 )
 def test_su2_and_u2_draws_give_the_same_fidelity_moments(catalog_fn, qubit, i, j, optimum):
     """A fidelity cannot see a unitary's global phase, so single-sample
-    fidelities under Haar on SU(2) (the oracle's draws) and on U(2) (the
-    batched QR) agree in distribution: equal first and second moments by a
-    two-sample z test at z = 5, over 10^5 draws each. For a reachable ghz
-    pair F = |tr v|^2 / 4 with v Haar, so E[F] = 1/4 and E[F^2] = 1/8."""
+    fidelities under Haar on SU(2) (the oracle's draws, built from four
+    normals each) and on U(2) (the batched QR) agree in distribution: equal
+    first and second moments by a two-sample z test at z = 5, over 10^5
+    draws each. For a reachable ghz pair F = |tr v|^2 / 4 with v Haar, so
+    E[F] = 1/4 and E[F^2] = 1/8."""
     cat, count = catalog_fn(), 100_000
     source, target = cat.state(i), cat.state(j)
     v = reachable_by_single_qubit(source, target, qubit)
@@ -503,7 +593,7 @@ def test_su2_and_u2_draws_give_the_same_fidelity_moments(catalog_fn, qubit, i, j
     x, y = (np.moveaxis(s.amplitudes.reshape((2,) * n), qubit - 1, 0).reshape(2, -1) for s in (source, target))
     coeffs = (y.conj() @ x.T).ravel()
     rng = np.random.default_rng(0)
-    draws = (_haar_unitaries(count, 2, rng), _haar_qubit_unitaries(count, rng))
+    draws = (_haar_unitaries(count, 2, rng), _su2_from_normals(rng.standard_normal((count, 4))))
     qr, su2 = (np.abs(u.reshape(-1, 4) @ coeffs) ** 2 for u in draws)
     for power in (1, 2):
         a, b = qr**power, su2**power

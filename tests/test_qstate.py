@@ -14,7 +14,6 @@ from ghzdense.qstate import (
     PAULI_Z,
     StateVector,
     UnitaryMatrix,
-    _haar_qubit_unitaries,
     apply_on_subset,
     basis_state,
     dump_state,
@@ -336,35 +335,6 @@ class TestHaarRandomUnitary:
         shared, reference = np.random.default_rng(42), np.random.default_rng(42)
         for _ in range(5):
             assert np.array_equal(haar_random_unitary(dim, shared).entries, self._reference(dim, reference))
-
-
-class TestHaarQubitUnitaries:
-    """The oracle's 2 x 2 draws: Haar on SU(2), four normals per matrix."""
-
-    @pytest.mark.parametrize("count", [1, 2, 257, 50_003])
-    def test_has_determinant_1_and_draws_four_normals_per_matrix(self, count):
-        for seed in (0, 1, 5, 12345):
-            rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
-            u = _haar_qubit_unitaries(count, rng)
-            assert u.shape == (count, 2, 2)
-            assert np.abs(np.linalg.det(u) - 1).max() <= 1e-14
-            g = twin.standard_normal((count, 4))
-            assert rng.random() == twin.random()
-            # The first column is the normalised draw, real parts first.
-            first = (g[:, 0::2] + 1j * g[:, 1::2]) / np.linalg.norm(g, axis=1, keepdims=True)
-            assert np.abs(u[:, :, 0] - first).max() <= 1e-15
-
-    def test_every_draw_is_unitary_within_1e_14(self):
-        u = _haar_qubit_unitaries(50_003, np.random.default_rng(3))
-        defect = np.abs(np.einsum("nji,njk->nik", u.conj(), u) - np.eye(2)).max()
-        assert defect <= 1e-14 < ATOL
-
-    def test_first_entry_moment(self):
-        """|u_00|^2 is uniform on [0, 1] under the Haar measure: mean 1/2,
-        standard error sqrt(1/12 / N), checked at z = 5."""
-        count = 50_003
-        values = np.abs(_haar_qubit_unitaries(count, np.random.default_rng(8))[:, 0, 0]) ** 2
-        assert abs(values.mean() - 0.5) <= 5 * np.sqrt(1 / 12 / count)
 
 
 # ---------------------------------------------------------------------------

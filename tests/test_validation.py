@@ -154,10 +154,48 @@ REJECTED.update(
     for name, edit in CONTRADICTORY_REPORTS.items()
 )
 
+# Rejections whose message must name the parameter: (call, the message's start).
+# An integer of more than 4300 digits has no repr, so it is shown by its size.
+NAMED_REJECTIONS = {
+    "run_trials trials=10**4300": (
+        lambda: run_trials("ghz3", 10**4300),
+        "trials must lie in [1, 9223372036854775807], got an integer of 14285 bits",
+    ),
+    "run_trials trials=10**30": (
+        lambda: run_trials("ghz3", 10**30),
+        "trials must lie in [1, 9223372036854775807], got 10000000...0000 (31 digits)",
+    ),
+    "rng_seed=-10**4300": (lambda: ChannelConfig(rng_seed=-(10**4300)), "rng_seed must be >= 0, got an integer"),
+    "rng_seed=-10**30": (lambda: ChannelConfig(rng_seed=-(10**30)), "rng_seed must be >= 0, got -10000000...0000"),
+    "forced error on qubit 10**4300": (
+        lambda: run_trials("ghz3", 10, ChannelConfig(forced_errors={10**4300: "X"})),
+        "forced error on qubit an integer of 14285 bits",
+    ),
+    "StateVector(['1', '0'])": (lambda: StateVector(["1", "0"]), "amplitudes must be complex numbers"),
+    "StateVector([b'1', b'0'])": (lambda: StateVector([b"1", b"0"]), "amplitudes must be complex numbers"),
+    "StateVector(['1', 0])": (lambda: StateVector(["1", 0]), "amplitudes must be complex numbers"),
+    "StateVector(np.array(['1', '0']))": (lambda: StateVector(np.array(["1", "0"])), "amplitudes must be complex"),
+    "StateVector of an object array holding '1'": (
+        lambda: StateVector(np.array(["1", 0], dtype=object)),
+        "amplitudes must be complex numbers",
+    ),
+    "UnitaryMatrix([['0', '1'], ['1', '0']])": (
+        lambda: UnitaryMatrix([["0", "1"], ["1", "0"]]),
+        "entries must be complex numbers",
+    ),
+}
+REJECTED.update((name, call) for name, (call, _) in NAMED_REJECTIONS.items())
+
 
 @pytest.mark.parametrize("call", REJECTED.values(), ids=REJECTED.keys())
 def test_rejected_with_value_error(call):
     with pytest.raises(ValueError):
+        call()
+
+
+@pytest.mark.parametrize("call, start", NAMED_REJECTIONS.values(), ids=NAMED_REJECTIONS.keys())
+def test_rejection_names_the_parameter(call, start):
+    with pytest.raises(ValueError, match=f"^{re.escape(start)}"):
         call()
 
 
