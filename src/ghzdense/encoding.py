@@ -42,10 +42,10 @@ from .qstate import fidelity_up_to_phase
 
 REACH_ATOL = 1e-10  # Gram comparisons accumulate a few products
 _WITNESS_MIN_FIDELITY = 1.0 - 1e-9
-_ORACLE_BATCH = 50_000  # samples per draw of four normals each
 _MAX_SAMPLES = 10**8  # oracle samples per call: about a minute for a catalog
-# Samples per scoring product: it bounds the squared projections at 1024 x 2
-# per distinct form (115 KB for phi's 7), and the per-chunk calls stay few.
+# Samples per draw and scoring product: it bounds the normals at 1024 x 4
+# (32 KB) and the squared projections at 1024 x 2 per distinct form (115 KB
+# for phi's 7), and the per-chunk calls stay few.
 _ORACLE_CHUNK = 1024
 
 _GHZ, _BELL = ghz_family(3), ghz_family(2)
@@ -180,21 +180,21 @@ def _best_sampled_fidelities(sources, targets, qubit: int, samples, rng_seed) ->
     2:19, 1959), which :func:`_oracle_forms`' u maps onto Haar on SU(2).
     A U(2) Haar unitary is that times a uniform global phase, which no
     fidelity can see, so the best scores have the distribution Haar draws
-    on U(2) would give. Every distinct form is scored in real arithmetic
-    by one (chunk, 4) @ (4, 2c) product per chunk, whose two halves,
-    squared and added, are the c fidelities; no unitary is built.
+    on U(2) would give. The samples are drawn ``_ORACLE_CHUNK`` rows at a
+    time from the one stream, which yields the same normals as one draw of
+    them all, and each chunk scores every distinct form in real arithmetic
+    by one (chunk, 4) @ (4, 2c) product, whose two halves, squared and
+    added, are the c fidelities; no unitary is built.
     """
     samples = _checked(samples, "samples", 1, _MAX_SAMPLES)
     columns, which = _oracle_forms(sources, targets, qubit)
     count = columns.shape[1] // 2
     rng = _rng(rng_seed)
     best = np.zeros(count)
-    for start in range(0, samples, _ORACLE_BATCH):
-        g = rng.standard_normal((min(samples - start, _ORACLE_BATCH), 4))
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
-        for chunk in range(0, g.shape[0], _ORACLE_CHUNK):
-            parts = (g[chunk : chunk + _ORACLE_CHUNK] @ columns) ** 2
-            np.maximum(best, (parts[:, :count] + parts[:, count:]).max(axis=0), out=best)
+    for start in range(0, samples, _ORACLE_CHUNK):
+        g = rng.standard_normal((min(samples - start, _ORACLE_CHUNK), 4))
+        parts = (g / np.linalg.norm(g, axis=1, keepdims=True) @ columns) ** 2
+        np.maximum(best, (parts[:, :count] + parts[:, count:]).max(axis=0), out=best)
     return best[which].reshape(len(sources), len(targets))
 
 

@@ -93,9 +93,9 @@ class ChannelConfig:
             try:
                 pairs = tuple((q, str(g).upper()) for q, g in items)
             except (TypeError, ValueError):  # not iterable, or an entry that is not a pair
-                raise ValueError(f"forced_errors must map qubits to Pauli errors, got {raw!r}") from None
+                raise ValueError("forced_errors must map qubits to Pauli errors") from None
             if any(g not in _ERRORS for _, g in pairs):
-                raise ValueError(f"forced_errors {raw!r} names an error other than X, Y, Z")
+                raise ValueError("forced_errors names an error other than X, Y, Z")
             pairs = tuple((_checked(q, "forced_errors qubit", 1), g) for q, g in pairs)
             if len({q for q, _ in pairs}) != len(pairs):
                 raise ValueError("forced_errors may hold at most one error per qubit")
@@ -219,13 +219,14 @@ def _decode_distribution(family: Protocol, channel: ChannelConfig) -> np.ndarray
     error maps each basis state to a basis state and XORs one bit syndrome
     into every message's label. That map is a homomorphism: the syndrome
     of a product of Paulis is the XOR of theirs, and Y = iXZ. So one
-    exchange of message 1 gives its error-free label ``base``, and one
-    exchange per (transit qubit, X or Z) of nonzero weight in the
-    channel's tables gives that error's syndrome. ``R[r]``, the
-    probability that message 1 reads out as the integer r, starts at
-    ``base`` with weight 1; each transit qubit's table then folds in by
-    XOR, ``R'[r XOR s] += w R[r]`` for each Pauli of weight w > 0 and
-    syndrome s. Every row is R relabelled:
+    exchange of message 1 gives its error-free label ``base``, and per
+    transit qubit one exchange gives X's syndrome x when X or Y has weight
+    in its table, and one gives Z's syndrome z when Z or Y has (else the
+    syndrome is not needed and stays 0). ``R[r]``, the probability that
+    message 1 reads out as the integer r, starts at ``base`` with weight
+    1; each transit qubit's table then folds in by XOR, ``R'[r XOR s] +=
+    w R[r]`` for each Pauli of weight w, with s 0 for I, x for X, x XOR z
+    for Y and z for Z. Every row is R relabelled:
     ``C[m, j] = R[label(m) XOR label(j) XOR label(1)]``, labels read from
     ``decode_table``'s keys, which are listed in message order."""
     labels = np.array([int(bits, 2) for bits in family.decode_table])  # message order
@@ -248,25 +249,16 @@ def _decode_distribution(family: Protocol, channel: ChannelConfig) -> np.ndarray
         return int(labels[decoded - 1])
 
     base = label()
-    syndromes = {}  # (qubit, "X" or "Z") -> its syndrome, exchanged at most once
-
-    def syndrome(q: int, g: str) -> int:
-        if g == "I":
-            return 0
-        if g == "Y":
-            return syndrome(q, "X") ^ syndrome(q, "Z")
-        if (q, g) not in syndromes:
-            syndromes[q, g] = label((q, g)) ^ base
-        return syndromes[q, g]
-
     row = [float(r == base) for r in range(len(labels))]  # R, message 1's distribution by readout
     for q, table in zip(family.transit, _pauli_tables(family, channel)):
+        x = label((q, "X")) ^ base if table["X"] or table["Y"] else 0
+        z = label((q, "Z")) ^ base if table["Z"] or table["Y"] else 0
+        shifts = {"I": 0, "X": x, "Y": x ^ z, "Z": z}
         folded = [0.0] * len(row)
         for g, weight in table.items():
-            if weight > 0.0:
-                s = syndrome(q, g)
-                for r, w in enumerate(row):
-                    folded[r ^ s] += weight * w
+            s = shifts[g]
+            for r, w in enumerate(row):
+                folded[r ^ s] += weight * w
         row = folded
     return np.array(row)[labels[:, None] ^ labels ^ labels[0]]
 

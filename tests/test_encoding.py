@@ -6,7 +6,6 @@ import ghzdense.encoding as encoding_mod
 from conftest import kron_embed, random_state
 from ghzdense.bases import bell_catalog, bell_state, ghz_catalog, ghz_state, phi_catalog, phi_state
 from ghzdense.encoding import (
-    _ORACLE_BATCH,
     _ORACLE_CHUNK,
     REACH_ATOL,
     EncodingOp,
@@ -386,42 +385,10 @@ class TestReachabilityOracle:
             assert best <= ceiling + 1e-9
 
 
-def _first_oracle_matrix(catalog, qubit, samples, rng):
-    """The first oracle's per-pair formula, kept as the reference: each
-    pair's overlaps by one einsum over SU(2) unitaries [[a, -conj b],
-    [b, conj a]] built here from four normals each, drawn from the one
-    stream ``rng`` in batches of ``_ORACLE_BATCH``."""
-    batches = range(0, samples, _ORACLE_BATCH)
-    g = np.concatenate([rng.standard_normal((min(_ORACLE_BATCH, samples - s), 4)) for s in batches])
-    a, b = (g[:, 0::2] + 1j * g[:, 1::2]).T / np.linalg.norm(g, axis=1)
-    unitaries = np.stack([np.stack([a, -b.conj()], axis=1), np.stack([b, a.conj()], axis=1)], axis=1)
-    n = catalog.n_qubits
-    rows = [
-        np.moveaxis(catalog.state(i).amplitudes.reshape((2,) * n), qubit - 1, 0).reshape(2, -1)
-        for i in range(1, len(catalog) + 1)
-    ]
-    return np.array(
-        [[np.max(np.abs(np.einsum("id,nij,jd->n", y.conj(), unitaries, x)) ** 2) for y in rows] for x in rows]
-    )
-
-
-def _every_form_oracle_matrix(catalog, qubit, samples, rng):
-    """Every pair's form scored, none deduplicated: all k^2 pairs' real and
-    imaginary parts of L, from the same normals and in the scorer's
-    batches and chunks."""
-    n, k = catalog.n_qubits, len(catalog)
-    rows = np.stack([np.moveaxis(s.amplitudes.reshape((2,) * n), qubit - 1, 0).reshape(2, -1) for s in catalog.states])
-    m00, m01, m10, m11 = np.einsum("tad,sbd->stab", rows.conj(), rows).reshape(-1, 4).T
-    forms = np.stack((m00 + m11, 1j * (m00 - m11), m10 - m01, 1j * (m10 + m01)))
-    columns = np.concatenate((forms.real, forms.imag), axis=1)
-    best = np.zeros(k * k)
-    for start in range(0, samples, _ORACLE_BATCH):
-        g = rng.standard_normal((min(_ORACLE_BATCH, samples - start), 4))
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
-        for chunk in range(0, len(g), _ORACLE_CHUNK):
-            parts = (g[chunk : chunk + _ORACLE_CHUNK] @ columns) ** 2
-            best = np.maximum(best, (parts[:, : k * k] + parts[:, k * k :]).max(axis=0))
-    return best.reshape(k, k)
+def _rows(state, qubit):
+    """The 2 x 2^(n-1) co-factor rows of ``qubit``'s |0> and |1> branches,
+    by ``np.moveaxis``, independent of ``qstate._split``."""
+    return np.moveaxis(state.amplitudes.reshape((2,) * state.n_qubits), qubit - 1, 0).reshape(2, -1)
 
 
 def _su2_from_normals(g):
@@ -430,6 +397,34 @@ def _su2_from_normals(g):
     its scorer never builds."""
     a, b = (g[:, 0::2] + 1j * g[:, 1::2]).T / np.linalg.norm(g, axis=1)
     return np.stack([np.stack([a, -b.conj()], axis=1), np.stack([b, a.conj()], axis=1)], axis=1)
+
+
+def _first_oracle_matrix(catalog, qubit, samples, rng):
+    """The first oracle's per-pair formula, kept as the reference: each
+    pair's overlaps by one einsum over SU(2) unitaries built from four
+    normals each, all drawn from the stream ``rng`` in one call."""
+    unitaries = _su2_from_normals(rng.standard_normal((samples, 4)))
+    rows = [_rows(s, qubit) for s in catalog.states]
+    return np.array(
+        [[np.max(np.abs(np.einsum("id,nij,jd->n", y.conj(), unitaries, x)) ** 2) for y in rows] for x in rows]
+    )
+
+
+def _every_form_oracle_matrix(catalog, qubit, samples, rng):
+    """Every pair's form scored, none deduplicated: all k^2 pairs' real and
+    imaginary parts of L, from the same normals, drawn and scored in the
+    scorer's chunks."""
+    k = len(catalog)
+    rows = np.stack([_rows(s, qubit) for s in catalog.states])
+    m00, m01, m10, m11 = np.einsum("tad,sbd->stab", rows.conj(), rows).reshape(-1, 4).T
+    forms = np.stack((m00 + m11, 1j * (m00 - m11), m10 - m01, 1j * (m10 + m01)))
+    columns = np.concatenate((forms.real, forms.imag), axis=1)
+    best = np.zeros(k * k)
+    for start in range(0, samples, _ORACLE_CHUNK):
+        g = rng.standard_normal((min(_ORACLE_CHUNK, samples - start), 4))
+        parts = (g / np.linalg.norm(g, axis=1, keepdims=True) @ columns) ** 2
+        best = np.maximum(best, (parts[:, : k * k] + parts[:, k * k :]).max(axis=0))
+    return best.reshape(k, k)
 
 
 def _exact_optimum(catalog, qubit):
@@ -442,9 +437,9 @@ def _exact_optimum(catalog, qubit):
 class TestReachabilityOracleMatrix:
     """All pairs are scored against one shared set of Haar draws."""
 
+    @pytest.mark.parametrize("samples", [50_003, _ORACLE_CHUNK + 3])
     @pytest.mark.parametrize("catalog_fn,qubit", CATALOG_QUBITS)
-    def test_scoring_distinct_forms_once_is_exact(self, catalog_fn, qubit):
-        samples = _ORACLE_BATCH + 3
+    def test_scoring_distinct_forms_once_is_exact(self, catalog_fn, qubit, samples):
         got = reachability_oracle_matrix(catalog_fn(), qubit, samples=samples, rng_seed=3)
         want = _every_form_oracle_matrix(catalog_fn(), qubit, samples, np.random.default_rng(3))
         assert np.array_equal(got, want)
@@ -481,15 +476,15 @@ class TestReachabilityOracleMatrix:
                 want = reachability_oracle(cat.state(i), cat.state(j), qubit, samples=300, rng_seed=6)
                 assert abs(got[i - 1, j - 1] - want) <= 1e-12
 
+    @pytest.mark.parametrize("samples", [50_003, _ORACLE_CHUNK + 3])
     @pytest.mark.parametrize("catalog_fn,qubit", [(ghz_catalog, 1), (phi_catalog, 2), (bell_catalog, 2)])
-    def test_matches_the_per_pair_formula_across_batches(self, catalog_fn, qubit):
-        # Two Haar batches, the second of 3 draws, and a partial scoring chunk.
-        samples = _ORACLE_BATCH + 3
+    def test_matches_the_per_pair_formula_across_batches(self, catalog_fn, qubit, samples):
+        # Many chunks ending in a partial one of 851 draws, or one full chunk and a last of 3.
         rng, reference_rng = np.random.default_rng(11), np.random.default_rng(11)
         got = reachability_oracle_matrix(catalog_fn(), qubit, samples=samples, rng_seed=rng)
         want = _first_oracle_matrix(catalog_fn(), qubit, samples, reference_rng)
         assert_allclose(got, want, rtol=0, atol=1e-12)
-        # Both drew every batch: the shared stream is left at the same point.
+        # Both drew every sample: the shared stream is left at the same point.
         assert rng.random() == reference_rng.random()
 
     @pytest.mark.parametrize("catalog_fn,qubit", CATALOG_QUBITS)
@@ -534,8 +529,7 @@ class TestOracleDraws:
         for seed in (0, 1, 5, 12345):
             rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
             reachability_oracle(ghz_state(1), ghz_state(3), 1, samples=count, rng_seed=rng)
-            batches = range(0, count, _ORACLE_BATCH)
-            g = np.concatenate([twin.standard_normal((min(_ORACLE_BATCH, count - s), 4)) for s in batches])
+            g = twin.standard_normal((count, 4))
             assert rng.random() == twin.random()
             u = _su2_from_normals(g)
             assert u.shape == (count, 2, 2)
@@ -561,8 +555,7 @@ class TestOracleDraws:
         cat = catalog_fn()
         g = np.random.default_rng(qubit).standard_normal((1000, 4))
         u = _su2_from_normals(g)
-        shape = (2,) * cat.n_qubits
-        rows = [np.moveaxis(s.amplitudes.reshape(shape), qubit - 1, 0).reshape(2, -1) for s in cat.states]
+        rows = [_rows(s, qubit) for s in cat.states]
         m = np.array([[y.conj() @ x.T for y in rows] for x in rows]).reshape(-1, 2, 2)
         overlaps = np.einsum("nab,pab->np", u, m)
         m00, m01, m10, m11 = m.reshape(-1, 4).T
@@ -589,8 +582,7 @@ def test_su2_and_u2_draws_give_the_same_fidelity_moments(catalog_fn, qubit, i, j
     source, target = cat.state(i), cat.state(j)
     v = reachable_by_single_qubit(source, target, qubit)
     assert (1.0 if v.reachable else v.obstruction**2) == pytest.approx(optimum, abs=1e-12)
-    n = cat.n_qubits
-    x, y = (np.moveaxis(s.amplitudes.reshape((2,) * n), qubit - 1, 0).reshape(2, -1) for s in (source, target))
+    x, y = (_rows(s, qubit) for s in (source, target))
     coeffs = (y.conj() @ x.T).ravel()
     rng = np.random.default_rng(0)
     draws = (_haar_unitaries(count, 2, rng), _su2_from_normals(rng.standard_normal((count, 4))))

@@ -238,6 +238,10 @@ MALFORMED_FORCED_ERRORS = {
     "qubit 0": {0: "X"},
     "unknown error": {1: "W"},
     "two errors on one qubit": [(1, "X"), (1, "Z")],
+    # Python writes out no integer of more than 4300 digits, so no message may echo one.
+    "4301-digit qubit with unknown error": {10**4300: "W"},
+    "4301-digit one-element entry": [(10**4300,)],
+    "4301-digit error": {1: 10**4300},
 }
 
 
