@@ -19,7 +19,7 @@ from .bases import _CATALOGS, BasisCatalog, catalog_by_name, ghz_catalog, verify
 from .encoding import encode, reachability_matrix, reachability_oracle_matrix
 from .ghzmeasure import DECODE_TABLE, GATE_SEQUENCE, disentangle
 from .protocol import PROTOCOL_NAMES, ChannelConfig, _family, capacity_summary, run_trials
-from .qstate import _SHOWN_DIGITS, ATOL, _abbreviated, _checked, dump_state, load_state
+from .qstate import ATOL, _decimal, dump_state, load_state
 
 _INDEX_PREFIX = {"ghz": "psi", "phi": "phi", "bell": "bell"}
 
@@ -72,10 +72,7 @@ def _parse_state_index(text: str, catalog: BasisCatalog) -> int:
         raise ValueError(f"index prefix {head!r} does not name a {catalog.name} state; use e.g. {expected}3 or 3")
     if head not in ("", expected) or not digits:
         raise ValueError(f"malformed state index {text!r}")
-    digits = digits.lstrip("0") or "0"
-    if len(digits) > _SHOWN_DIGITS:  # out of range, and perhaps too long to pass to int()
-        raise ValueError(f"index must lie in [1, {len(catalog)}], got {_abbreviated(digits)}")
-    return _checked(int(digits), "index", 1, len(catalog))
+    return _decimal(digits, "index", 1, len(catalog))
 
 
 def _cmd_bases_verify(args) -> CommandResult:
@@ -113,32 +110,29 @@ def _cmd_reach(args) -> CommandResult:
     if given and not args.oracle:
         raise ValueError(f"{' and '.join(given)} can only be used with --oracle")
     catalog = catalog_by_name(args.basis)
-    matrix = reachability_matrix(catalog, args.qubit)
+    labels = _labels(catalog)
+    width = max(len(lb) for lb in labels)
+
+    def table(rows, cell) -> list[str]:
+        return [f"{label:<{width}}  {' '.join(map(cell, row))}" for label, row in zip(labels, rows)]
+
+    reachable = reachability_matrix(catalog, args.qubit).tolist()
     payload = {
         "basis": catalog.name,
         "qubit": args.qubit,
-        "reachable": [[bool(v) for v in row] for row in matrix],
+        "reachable": reachable,
     }
-    labels = _labels(catalog)
-    width = max(len(lb) for lb in labels)
     lines = [
         f"single-qubit reachability (basis {catalog.name}, qubit {args.qubit}); "
-        "rows: source, columns: target"
+        "rows: source, columns: target",
+        *table(reachable, lambda v: "1" if v else "0"),
     ]
-    for label, row in zip(labels, matrix):
-        cells = " ".join("1" if v else "0" for v in row)
-        lines.append(f"{label:<{width}}  {cells}")
     if args.oracle:
         samples = 10_000 if args.samples is None else args.samples
         seed = 0 if args.seed is None else args.seed
-        fidelities = reachability_oracle_matrix(catalog, args.qubit, samples, seed)
-        payload["samples"] = samples
-        payload["seed"] = seed
-        payload["max_fidelity"] = [[float(v) for v in row] for row in fidelities]
-        lines.append(f"best sampled fidelity ({samples} samples, seed {seed}):")
-        for label, row in zip(labels, fidelities):
-            cells = " ".join(_fmt(v) for v in row)
-            lines.append(f"{label:<{width}}  {cells}")
+        fidelities = reachability_oracle_matrix(catalog, args.qubit, samples, seed).tolist()
+        payload.update(samples=samples, seed=seed, max_fidelity=fidelities)
+        lines += [f"best sampled fidelity ({samples} samples, seed {seed}):", *table(fidelities, _fmt)]
     return _report(args, payload, lines)
 
 

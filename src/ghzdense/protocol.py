@@ -43,7 +43,6 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .bases import Protocol, ghz_family
-from .encoding import _encode
 from .ghzmeasure import _read_out, _run_network, ghz_measure
 from .qstate import _NAMED_GATES, StateVector, _checked, _rng, _shown, apply_on_subset
 
@@ -218,15 +217,16 @@ def _decode_distribution(family: Protocol, channel: ChannelConfig) -> np.ndarray
     The encoders are local Paulis and the network is Clifford, so a Pauli
     error maps each basis state to a basis state and XORs one bit syndrome
     into every message's label. That map is a homomorphism: the syndrome
-    of a product of Paulis is the XOR of theirs, and Y = iXZ. So one
-    exchange of message 1 gives its error-free label ``base``, and per
-    transit qubit one exchange gives X's syndrome x when X or Y has weight
-    in its table, and one gives Z's syndrome z when Z or Y has (else the
+    of a product of Paulis is the XOR of theirs, and Y = iXZ. The
+    exchanges start from catalog state 1, which is message 1's state: one
+    error-free exchange gives its label ``base``, and per transit qubit
+    one exchange gives X's syndrome x when X or Y has weight in its
+    table, and one gives Z's syndrome z when Z or Y has (else the
     syndrome is not needed and stays 0). ``R[r]``, the probability that
     message 1 reads out as the integer r, starts at ``base`` with weight
-    1; each transit qubit's table then folds in by XOR, ``R'[r XOR s] +=
-    w R[r]`` for each Pauli of weight w, with s 0 for I, x for X, x XOR z
-    for Y and z for Z. Every row is R relabelled:
+    1; each transit qubit's table then folds in by XOR, ``R'[r] = sum of
+    w R[r XOR s]`` over its Paulis of weight w, in table order, with s 0
+    for I, x for X, x XOR z for Y and z for Z. Every row is R relabelled:
     ``C[m, j] = R[label(m) XOR label(j) XOR label(1)]``, labels read from
     ``decode_table``'s keys, which are listed in message order."""
     labels = np.array([int(bits, 2) for bits in family.decode_table])  # message order
@@ -234,7 +234,7 @@ def _decode_distribution(family: Protocol, channel: ChannelConfig) -> np.ndarray
     # (such as the span wrappers of perfbench/tracer.py) runs.
     measure = bell_measure if family is _BELL else ghz_measure
     readout = _rng(0)  # outcomes are certain; the seed is irrelevant
-    sent = _encode(family, 1)
+    sent = family.catalog.state(1)
 
     def label(*errors) -> int:
         state = sent
@@ -249,18 +249,14 @@ def _decode_distribution(family: Protocol, channel: ChannelConfig) -> np.ndarray
         return int(labels[decoded - 1])
 
     base = label()
-    row = [float(r == base) for r in range(len(labels))]  # R, message 1's distribution by readout
+    readouts = np.arange(len(labels))
+    row = (readouts == base).astype(float)  # R, message 1's distribution by readout
     for q, table in zip(family.transit, _pauli_tables(family, channel)):
         x = label((q, "X")) ^ base if table["X"] or table["Y"] else 0
         z = label((q, "Z")) ^ base if table["Z"] or table["Y"] else 0
         shifts = {"I": 0, "X": x, "Y": x ^ z, "Z": z}
-        folded = [0.0] * len(row)
-        for g, weight in table.items():
-            s = shifts[g]
-            for r, w in enumerate(row):
-                folded[r ^ s] += weight * w
-        row = folded
-    return np.array(row)[labels[:, None] ^ labels ^ labels[0]]
+        row = sum(weight * row[readouts ^ shifts[g]] for g, weight in table.items())
+    return row[labels[:, None] ^ labels ^ labels[0]]
 
 
 def _one_exchange(protocol: str, message: int, channel: ChannelConfig) -> tuple[int, bool]:

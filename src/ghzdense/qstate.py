@@ -18,7 +18,9 @@ the command line reports with exit code 2. Numbers are checked by
 amplitude of a unit vector and no entry of a unitary has a part above 1,
 so a larger part is rejected there, and so is a string, which numpy
 would parse as a number. A rejected integer of more than 20 digits is
-echoed shortened (``_shown``). A parameter that holds one of the
+echoed shortened (``_shown``). Integer text, a state file's counts and
+indices and the command line's state indices, is parsed by ``_decimal``
+alone: ASCII digits only. A parameter that holds one of the
 package's objects (``StateVector``, ``UnitaryMatrix``, ``BasisCatalog``,
 ``ChannelConfig``, or the states of a catalog) is outside that contract:
 passing something else there raises whatever Python raises, usually
@@ -73,6 +75,20 @@ def _checked(value, name: str, low, high=None, kind=int):
         bound = f"be >= {low}" if high is None else f"lie in [{low}, {high}]"
         raise ValueError(f"{name} must {bound}, got {_shown(value)}")
     return value
+
+
+def _decimal(text: str, name: str, low: int, high: int) -> int:
+    """``text`` as an int in [low, high], the package's one parser of
+    integer text: ASCII decimal digits only, so no sign, space, underscore
+    or other script, leading zeros ignored. ``high`` is below 10^20, so a
+    longer digit run is out of range, and is rejected before ``int()``
+    sees it."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"malformed {name} {text!r}")
+    digits = text.lstrip("0") or "0"
+    if len(digits) > _SHOWN_DIGITS:
+        raise ValueError(f"{name} must lie in [{low}, {high}], got {_abbreviated(digits)}")
+    return _checked(int(digits), name, low, high)
 
 
 def _qubit_count(dim, name: str, max_qubits: int) -> int:
@@ -270,13 +286,14 @@ def _split(state: StateVector, qubits: Sequence[int]) -> tuple[tuple[int, ...], 
     after them in order, and the 2^k x 2^(n-k) amplitude matrix it makes:
     row index those qubits' bits, the first listed qubit most significant,
     column index the other qubits' bits. The package's one split of a
-    register into a subset and the rest, and its one qubit-subset check;
-    transposing the (2,) * n array by the inverse order undoes the split."""
+    register into a subset and the rest, and its one qubit-subset check:
+    ``qubits`` is a ``Sequence`` or a 1-D ndarray, since an iterator, set
+    or mapping gives no order to read; transposing the (2,) * n array by
+    the inverse order undoes the split."""
     n = state.n_qubits
-    try:
-        axes = tuple(_checked(q, "qubit", 1, n) - 1 for q in qubits)
-    except TypeError:  # not iterable
-        raise ValueError(f"qubits must be a sequence of qubit positions, got {type(qubits).__name__}") from None
+    if not (isinstance(qubits, Sequence) or isinstance(qubits, np.ndarray) and qubits.ndim == 1):
+        raise ValueError(f"qubits must be a sequence of qubit positions, got {type(qubits).__name__}")
+    axes = tuple(_checked(q, "qubit", 1, n) - 1 for q in qubits)
     if not axes:
         raise ValueError("qubit subset is empty")
     if len(set(axes)) != len(axes):
@@ -294,7 +311,7 @@ def apply_on_subset(state: StateVector, u: UnitaryMatrix, qubits: Sequence[int])
     """
     order, rows = _split(state, qubits)
     if u.dim != rows.shape[0]:
-        raise ValueError(f"operator dimension {u.dim} does not match {len(qubits)} qubit(s)")
+        raise ValueError(f"operator dimension {u.dim} does not match {rows.shape[0].bit_length() - 1} qubit(s)")
     inverse = tuple(map(order.index, range(state.n_qubits)))
     out = (u.entries @ rows).reshape((2,) * state.n_qubits).transpose(inverse)
     # All axes have length 2: reshape copies a permuted array to C order, and an unpermuted one is the fresh product.
@@ -385,22 +402,18 @@ def load_state(text: str) -> StateVector:
     header = lines[0].split()
     if len(header) != 2 or header[0] != "nqubits":
         raise ValueError("first line must be 'nqubits <n>'")
-    try:
-        n = int(header[1])
-    except ValueError:
-        raise ValueError(f"malformed qubit count {header[1]!r}") from None
-    n = _checked(n, "qubit count", 1, MAX_QUBITS)
+    n = _decimal(header[1], "qubit count", 1, MAX_QUBITS)
     amps = np.zeros(1 << n, dtype=np.complex128)
     seen: set[int] = set()
     for ln in lines[1:]:
         fields = ln.split()
         if len(fields) != 3:
             raise ValueError(f"expected 'index re im', got {ln!r}")
+        idx = _decimal(fields[0], f"amplitude index for {n} qubit(s)", 0, amps.shape[0] - 1)
         try:
-            idx, amp = int(fields[0]), complex(float(fields[1]), float(fields[2]))
+            amp = complex(float(fields[1]), float(fields[2]))
         except ValueError:
             raise ValueError(f"malformed amplitude line {ln!r}") from None
-        idx = _checked(idx, f"amplitude index for {n} qubit(s)", 0, amps.shape[0] - 1)
         if idx in seen:
             raise ValueError(f"duplicate index {idx}")
         seen.add(idx)

@@ -183,6 +183,39 @@ NAMED_REJECTIONS = {
         lambda: UnitaryMatrix([["0", "1"], ["1", "0"]]),
         "entries must be complex numbers",
     ),
+    # A qubit subset is an ordered sequence: an iterator, a set or a mapping is not.
+    "apply_on_subset qubits=iter([1])": (
+        lambda: apply_on_subset(ghz_state(1), CNOT, iter([1])),
+        "qubits must be a sequence of qubit positions",
+    ),
+    "embed_on_subset qubits=iter([1])": (
+        lambda: embed_on_subset(PAULI_X, iter([1]), 2),
+        "qubits must be a sequence of qubit positions",
+    ),
+    "apply_on_subset qubits={2, 1}": (
+        lambda: apply_on_subset(ghz_state(1), CNOT, {2, 1}),
+        "qubits must be a sequence of qubit positions",
+    ),
+    "apply_on_subset qubits={1: 'X'}": (
+        lambda: apply_on_subset(ghz_state(1), PAULI_X, {1: "X"}),
+        "qubits must be a sequence of qubit positions",
+    ),
+    # State-file integers are ASCII digits; a long one is shown abbreviated, never echoed in full.
+    "load_state 5000-digit qubit count": (
+        lambda: load_state(f"nqubits {'9' * 5000}\n0 1 0\n"),
+        "qubit count must lie in [1, 20], got 99999999...9999 (5000 digits)",
+    ),
+    "load_state 5000-digit amplitude index": (
+        lambda: load_state(f"nqubits 1\n{'9' * 5000} 1 0\n"),
+        "amplitude index for 1 qubit(s) must lie in [0, 1], got 99999999...9999 (5000 digits)",
+    ),
+    "load_state qubit count +2": (lambda: load_state("nqubits +2\n0 1 0\n"), "malformed qubit count '+2'"),
+    "load_state qubit count in Arabic-Indic digits": (
+        lambda: load_state("nqubits \u0663\n0 1 0\n"),
+        "malformed qubit count",
+    ),
+    "load_state amplitude index 1_1": (lambda: load_state("nqubits 4\n1_1 1 0\n"), "malformed amplitude index"),
+    "load_state amplitude index -0": (lambda: load_state("nqubits 1\n-0 1 0\n"), "malformed amplitude index"),
 }
 REJECTED.update((name, call) for name, (call, _) in NAMED_REJECTIONS.items())
 
