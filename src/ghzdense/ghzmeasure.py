@@ -11,6 +11,10 @@ commute; their listed order is a convention, not a requirement. After
 the network, three ordinary single-qubit readouts plus a classical table
 lookup recover the GHZ index.
 
+The gate list defines the network. It runs as one operator per family,
+built from that list on first use and then applied to each state by one
+matrix product.
+
 Network and table are ``bases.ghz_family(3)``'s; the n=2 case, CNOT(1,2)
 then H(1), is the Bell protocol's. One rule decodes both: the sign bit (0
 for '+'), then the tail of the first ket. Readouts of messages 1, 2, ...::
@@ -23,7 +27,7 @@ Indices may be Python or numpy integers; anything else is a ValueError.
 
 from __future__ import annotations
 
-from functools import partial
+from functools import cache
 
 import numpy as np
 
@@ -39,13 +43,25 @@ GATE_SEQUENCE = _GHZ.network
 DECODE_TABLE = _GHZ.decode_table
 
 
+@cache
+def _network_operator(family: Protocol) -> UnitaryMatrix:
+    """``family``'s network as one 2^n x 2^n operator, the owner of the
+    network matrix: column j is its gates applied one by one to ket j.
+    Built on first use, once per family (``Protocol`` hashes by identity)."""
+
+    def gates(state: StateVector) -> StateVector:
+        for name, qubits in family.network:
+            state = apply_on_subset(state, _NAMED_GATES[name], qubits)
+        return state
+
+    return _operator(gates, family.catalog.n_qubits)
+
+
 def _run_network(family: Protocol, state: StateVector) -> StateVector:
     n = family.catalog.n_qubits
     if state.n_qubits != n:
         raise ValueError(f"network expects {n} qubits, got {state.n_qubits}")
-    for name, qubits in family.network:
-        state = apply_on_subset(state, _NAMED_GATES[name], qubits)
-    return state
+    return StateVector._from_unitary_output(_network_operator(family).entries @ state.amplitudes)
 
 
 def _read_out(family: Protocol, disentangled: StateVector, rng_seed) -> tuple[int, float]:
@@ -54,13 +70,17 @@ def _read_out(family: Protocol, disentangled: StateVector, rng_seed) -> tuple[in
 
 
 def disentangle(state: StateVector) -> StateVector:
-    """Run the gate sequence; GHZ basis states come out as computational kets."""
+    """Run the network; GHZ basis states come out as computational kets.
+
+    ``GATE_SEQUENCE`` defines the network, which runs as one 8x8 operator
+    built from it on first use."""
     return _run_network(_GHZ, state)
 
 
 def network_unitary() -> UnitaryMatrix:
-    """The whole network as one 8x8 operator: column j is the network run on ket j."""
-    return _operator(partial(_run_network, _GHZ), _GHZ.catalog.n_qubits)
+    """The whole network as one 8x8 operator: column j is the gate sequence
+    run on ket j. Every call returns the same read-only matrix."""
+    return _network_operator(_GHZ)
 
 
 def decode(outcome: str) -> int:

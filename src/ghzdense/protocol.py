@@ -225,8 +225,9 @@ def _decode_distribution(family: Protocol, channel: ChannelConfig) -> np.ndarray
     syndrome is not needed and stays 0). ``R[r]``, the probability that
     message 1 reads out as the integer r, starts at ``base`` with weight
     1; each transit qubit's table then folds in by XOR, ``R'[r] = sum of
-    w R[r XOR s]`` over its Paulis of weight w, in table order, with s 0
-    for I, x for X, x XOR z for Y and z for Z. Every row is R relabelled:
+    w R[r XOR s]`` over its Paulis of nonzero weight w, in table order,
+    with s 0 for I, x for X, x XOR z for Y and z for Z (a term of weight 0
+    would only add 0.0). Every row is R relabelled:
     ``C[m, j] = R[label(m) XOR label(j) XOR label(1)]``, labels read from
     ``decode_table``'s keys, which are listed in message order."""
     labels = np.array([int(bits, 2) for bits in family.decode_table])  # message order
@@ -255,7 +256,7 @@ def _decode_distribution(family: Protocol, channel: ChannelConfig) -> np.ndarray
         x = label((q, "X")) ^ base if table["X"] or table["Y"] else 0
         z = label((q, "Z")) ^ base if table["Z"] or table["Y"] else 0
         shifts = {"I": 0, "X": x, "Y": x ^ z, "Z": z}
-        row = sum(weight * row[readouts ^ shifts[g]] for g, weight in table.items())
+        row = sum(weight * row[readouts ^ shifts[g]] for g, weight in table.items() if weight)
     return row[labels[:, None] ^ labels ^ labels[0]]
 
 

@@ -17,8 +17,9 @@ the command line reports with exit code 2. Numbers are checked by
 ``_as_finite_complex`` alone, before any norm or product is taken: no
 amplitude of a unit vector and no entry of a unitary has a part above 1,
 so a larger part is rejected there, and so is a string, which numpy
-would parse as a number. A rejected integer of more than 20 digits is
-echoed shortened (``_shown``). Integer text, a state file's counts and
+would parse as a number. A rejected integer of more than 20 digits, and
+rejected text of more than 60 characters, is echoed shortened
+(``_shown``). Integer text, a state file's counts and
 indices and the command line's state indices, is parsed by ``_decimal``
 alone: ASCII digits only. A parameter that holds one of the
 package's objects (``StateVector``, ``UnitaryMatrix``, ``BasisCatalog``,
@@ -39,6 +40,7 @@ MAX_QUBITS = 20  # dense amplitude arrays; 2**20 is the supported ceiling
 # haar_random_unitary): 16 MB at the ceiling, against 8x8 in the protocols.
 _MAX_OPERATOR_QUBITS = 10
 _SHOWN_DIGITS = 20  # an error echoes a longer integer by its first and last digits
+_SHOWN_CHARS = 60  # an error echoes longer text by its start; no dump_state line is as long
 
 
 def _abbreviated(digits: str) -> str:
@@ -48,9 +50,12 @@ def _abbreviated(digits: str) -> str:
 
 def _shown(value) -> str:
     """``value``'s repr for an error message, an integer of more than
-    ``_SHOWN_DIGITS`` digits abbreviated. Python writes out no integer of
-    more than 4300 digits (its repr raises), so one of more than 14000 bits
-    is shown by its size in bits."""
+    ``_SHOWN_DIGITS`` digits and a str of more than ``_SHOWN_CHARS``
+    characters abbreviated. Python writes out no integer of more than 4300
+    digits (its repr raises), so one of more than 14000 bits is shown by its
+    size in bits."""
+    if isinstance(value, str) and len(value) > _SHOWN_CHARS:
+        return f"{value[:_SHOWN_CHARS]!r}... ({len(value)} characters)"
     if not isinstance(value, int) or abs(value) < 10**_SHOWN_DIGITS:
         return repr(value)
     if value.bit_length() > 14_000:
@@ -84,7 +89,7 @@ def _decimal(text: str, name: str, low: int, high: int) -> int:
     longer digit run is out of range, and is rejected before ``int()``
     sees it."""
     if not (text.isascii() and text.isdigit()):
-        raise ValueError(f"malformed {name} {text!r}")
+        raise ValueError(f"malformed {name} {_shown(text)}")
     digits = text.lstrip("0") or "0"
     if len(digits) > _SHOWN_DIGITS:
         raise ValueError(f"{name} must lie in [{low}, {high}], got {_abbreviated(digits)}")
@@ -252,7 +257,7 @@ _NAMED_GATES = {"I": IDENTITY, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z, "H": HA
 def basis_state(bits: str) -> StateVector:
     """Computational basis ket from its bit-string label, e.g. ``"011"``."""
     if not isinstance(bits, str) or not bits or any(c not in "01" for c in bits):
-        raise ValueError(f"malformed bit string {bits!r}")
+        raise ValueError(f"malformed bit string {_shown(bits)}")
     _checked(len(bits), "bit string length", 1, MAX_QUBITS)
     amps = np.zeros(1 << len(bits), dtype=np.complex128)
     amps[int(bits, 2)] = 1.0
@@ -408,12 +413,12 @@ def load_state(text: str) -> StateVector:
     for ln in lines[1:]:
         fields = ln.split()
         if len(fields) != 3:
-            raise ValueError(f"expected 'index re im', got {ln!r}")
+            raise ValueError(f"expected 'index re im', got {_shown(ln)}")
         idx = _decimal(fields[0], f"amplitude index for {n} qubit(s)", 0, amps.shape[0] - 1)
         try:
             amp = complex(float(fields[1]), float(fields[2]))
         except ValueError:
-            raise ValueError(f"malformed amplitude line {ln!r}") from None
+            raise ValueError(f"malformed amplitude line {_shown(ln)}") from None
         if idx in seen:
             raise ValueError(f"duplicate index {idx}")
         seen.add(idx)

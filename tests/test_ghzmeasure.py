@@ -1,9 +1,16 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import ghzdense
 from conftest import kron_embed, random_state
-from ghzdense.bases import ghz_catalog, ghz_state
+from ghzdense import ghzmeasure
+from ghzdense.bases import ghz_catalog, ghz_family, ghz_state
 from ghzdense.ghzmeasure import (
     DECODE_TABLE,
     GATE_SEQUENCE,
@@ -14,6 +21,7 @@ from ghzdense.ghzmeasure import (
     network_unitary,
     outcome_for_index,
 )
+from ghzdense.protocol import ChannelConfig, run_trials
 from ghzdense.qstate import (
     CNOT,
     HADAMARD,
@@ -193,3 +201,55 @@ class TestGhzMeasure:
             ghz_measure(basis_state("0"), rng_seed=0)
         with pytest.raises(ValueError):
             index_distribution(basis_state("0000"))
+
+
+def _gate_by_gate(family, state):
+    """``family``'s network applied one gate at a time."""
+    gates = {"CNOT": CNOT, "H": HADAMARD}
+    for name, qubits in family.network:
+        state = apply_on_subset(state, gates[name], qubits)
+    return state
+
+
+class TestNetworkOperator:
+    """The network runs as one operator per family, built on first use."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_operator_matches_the_gates_applied_one_by_one(self, n):
+        family = ghz_family(n)
+        rng = np.random.default_rng(31 + n)
+        for _ in range(50):
+            state = random_state(rng, n)
+            want = _gate_by_gate(family, state).amplitudes
+            assert_allclose(ghzmeasure._run_network(family, state).amplitudes, want, rtol=0, atol=1e-15)
+            if n == 3:
+                assert_allclose(disentangle(state).amplitudes, want, rtol=0, atol=1e-15)
+
+    def test_each_family_is_built_at_most_once(self, monkeypatch):
+        built, operator = [], ghzmeasure._operator
+
+        def counting(state_map, n_qubits):
+            built.append(n_qubits)
+            return operator(state_map, n_qubits)
+
+        monkeypatch.setattr(ghzmeasure, "_operator", counting)
+        ghzmeasure._network_operator.cache_clear()
+        try:
+            for _ in range(2):
+                run_trials("ghz3", 100, ChannelConfig(0.1, 3))
+                run_trials("bell2", 100, ChannelConfig(0.1, 3))
+            disentangle(ghz_state(2))
+            network_unitary()
+        finally:
+            ghzmeasure._network_operator.cache_clear()
+        assert sorted(built) == [2, 3]
+
+    def test_network_unitary_is_one_shared_read_only_matrix(self):
+        assert network_unitary() is network_unitary()
+        assert not network_unitary().entries.flags.writeable
+
+    def test_import_builds_no_operator(self):
+        probe = "import ghzdense; print(ghzdense.ghzmeasure._network_operator.cache_info().currsize)"
+        env = {**os.environ, "PYTHONPATH": str(Path(ghzdense.__file__).resolve().parents[1])}
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env)
+        assert out.stdout.strip() == "0"

@@ -216,8 +216,41 @@ NAMED_REJECTIONS = {
     ),
     "load_state amplitude index 1_1": (lambda: load_state("nqubits 4\n1_1 1 0\n"), "malformed amplitude index"),
     "load_state amplitude index -0": (lambda: load_state("nqubits 1\n-0 1 0\n"), "malformed amplitude index"),
+    # Short text is echoed whole.
+    "load_state amplitude line '0 1 x'": (
+        lambda: load_state("nqubits 1\n0 1 x\n"),
+        "malformed amplitude line '0 1 x'",
+    ),
+    "load_state line of four fields": (
+        lambda: load_state("nqubits 1\n0 1 0 1\n"),
+        "expected 'index re im', got '0 1 0 1'",
+    ),
+    "basis_state('0120')": (lambda: basis_state("0120"), "malformed bit string '0120'"),
 }
 REJECTED.update((name, call) for name, (call, _) in NAMED_REJECTIONS.items())
+
+# Rejected text of 5000 characters: (call, the field the message must name).
+# The message echoes the text's start and length, never the whole text.
+LONG_TEXT_REJECTIONS = {
+    "load_state qubit count of 5000 characters": (
+        lambda: load_state(f"nqubits {'9' * 4999}x\n0 1 0\n"),
+        "malformed qubit count",
+    ),
+    "load_state amplitude index of 5000 characters": (
+        lambda: load_state(f"nqubits 1\n{'x' * 5000} 1 0\n"),
+        "malformed amplitude index",
+    ),
+    "load_state amplitude of 5000 characters": (
+        lambda: load_state(f"nqubits 1\n0 {'x' * 5000} 0\n"),
+        "malformed amplitude line",
+    ),
+    "load_state fourth field of 5000 characters": (
+        lambda: load_state(f"nqubits 1\n0 1 0 {'x' * 5000}\n"),
+        "expected 'index re im'",
+    ),
+    "basis_state of 5000 characters": (lambda: basis_state("2" * 5000), "malformed bit string"),
+}
+REJECTED.update((name, call) for name, (call, _) in LONG_TEXT_REJECTIONS.items())
 
 
 @pytest.mark.parametrize("call", REJECTED.values(), ids=REJECTED.keys())
@@ -230,6 +263,16 @@ def test_rejected_with_value_error(call):
 def test_rejection_names_the_parameter(call, start):
     with pytest.raises(ValueError, match=f"^{re.escape(start)}"):
         call()
+
+
+@pytest.mark.parametrize("call, field", LONG_TEXT_REJECTIONS.values(), ids=LONG_TEXT_REJECTIONS.keys())
+def test_long_rejected_text_is_echoed_shortened(call, field):
+    with pytest.raises(ValueError) as caught:
+        call()
+    message = str(caught.value)
+    assert len(message) < 200
+    assert message.startswith(field)
+    assert re.search(r"'\.\.\. \(500\d characters\)$", message)
 
 
 @pytest.mark.parametrize("check", [reachable_by_single_qubit, reachability_oracle])
