@@ -20,7 +20,7 @@ from functools import reduce
 
 import numpy as np
 
-from .qstate import ATOL, _NAMED_GATES, StateVector, UnitaryMatrix, _checked, tensor
+from .qstate import ATOL, _NAMED_GATES, StateVector, UnitaryMatrix, _checked, _shown, tensor
 
 _PHI_SIGNS = (
     (+1, +1, +1, +1, +1, +1, +1, +1),
@@ -163,7 +163,7 @@ def catalog_by_name(name: str) -> BasisCatalog:
     try:
         return _CATALOGS[name]
     except (KeyError, TypeError):
-        raise ValueError(f"unknown basis {name!r}; expected one of {sorted(_CATALOGS)}") from None
+        raise ValueError(f"unknown basis {_shown(name)}; expected one of {sorted(_CATALOGS)}") from None
 
 
 @dataclass(frozen=True)

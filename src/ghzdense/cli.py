@@ -19,7 +19,7 @@ from .bases import _CATALOGS, BasisCatalog, catalog_by_name, ghz_catalog, verify
 from .encoding import encode, reachability_matrix, reachability_oracle_matrix
 from .ghzmeasure import DECODE_TABLE, GATE_SEQUENCE, disentangle
 from .protocol import PROTOCOL_NAMES, ChannelConfig, _family, capacity_summary, run_trials
-from .qstate import ATOL, _decimal, dump_state, load_state
+from .qstate import ATOL, _decimal, _shown, dump_state, load_state
 
 _INDEX_PREFIX = {"ghz": "psi", "phi": "phi", "bell": "bell"}
 
@@ -69,9 +69,9 @@ def _parse_state_index(text: str, catalog: BasisCatalog) -> int:
     digits = raw[len(head):]
     expected = _INDEX_PREFIX[catalog.name]
     if head.isalpha() and head != expected:
-        raise ValueError(f"index prefix {head!r} does not name a {catalog.name} state; use e.g. {expected}3 or 3")
+        raise ValueError(f"index prefix {_shown(head)} does not name a {catalog.name} state; use e.g. {expected}3 or 3")
     if head not in ("", expected) or not digits:
-        raise ValueError(f"malformed state index {text!r}")
+        raise ValueError(f"malformed state index {_shown(text)}")
     return _decimal(digits, "index", 1, len(catalog))
 
 

@@ -32,7 +32,7 @@ from functools import cache
 import numpy as np
 
 from .bases import Protocol, ghz_family
-from .qstate import _NAMED_GATES, StateVector, UnitaryMatrix, _checked, _operator, apply_on_subset
+from .qstate import _NAMED_GATES, StateVector, UnitaryMatrix, _checked, _operator, _shown, apply_on_subset
 from .qstate import measure_computational
 
 _GHZ = ghz_family(3)
@@ -86,7 +86,7 @@ def network_unitary() -> UnitaryMatrix:
 def decode(outcome: str) -> int:
     """GHZ index for a three-bit measurement outcome string."""
     if not isinstance(outcome, str) or outcome not in DECODE_TABLE:
-        raise ValueError(f"malformed outcome {outcome!r}; expected three bits like '011'")
+        raise ValueError(f"malformed outcome {_shown(outcome)}; expected three bits like '011'")
     return DECODE_TABLE[outcome]
 
 

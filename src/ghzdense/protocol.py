@@ -19,8 +19,11 @@ network is Clifford, so an error XORs the same bit syndrome into every
 message's label, and errors on several qubits XOR their syndromes. C is
 therefore built from state-vector exchanges of message 1: one
 error-free, and one per X or Z error on each transit qubit (5 for ghz3
-and 3 for bell2 at 0 < p < 1, 1 at p = 0). Row 1 takes in one qubit's
-table at a time by XOR, and the other rows are row 1 relabelled. Batches
+and 3 for bell2 at 0 < p < 1, 1 at p = 0). Their inputs, message 1's
+state with each error applied once, the labels and the readout stream,
+are built once per family on first use; each call reads out the
+exchanges it needs. Row 1 takes in one qubit's table at a time by XOR,
+and the other rows are row 1 relabelled. Batches
 sample from C with one random stream per call, seeded by the channel:
 first the message counts, then each message's decoded counts in message
 order.
@@ -39,6 +42,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, replace
+from functools import cache
 
 import numpy as np
 
@@ -61,7 +65,7 @@ def _family(protocol: str) -> Protocol:
     try:
         return _BY_NAME[protocol]
     except (KeyError, TypeError):
-        raise ValueError(f"unknown protocol {protocol!r}; expected one of {PROTOCOL_NAMES}") from None
+        raise ValueError(f"unknown protocol {_shown(protocol)}; expected one of {PROTOCOL_NAMES}") from None
 
 
 @dataclass(frozen=True)
@@ -211,6 +215,24 @@ def _pauli_tables(family: Protocol, channel: ChannelConfig) -> list[dict[str, fl
     return [{g: float(g == forced.get(q, "I")) for g in ("I", *_ERRORS)} for q in family.transit]
 
 
+@cache
+def _exchange_inputs(family: Protocol) -> tuple[dict, np.ndarray, np.random.Generator]:
+    """What ``_decode_distribution`` reads out for ``family``, none of it
+    depending on the channel: message 1's state under each error pattern
+    it exchanges (``()``, and ``((q, "X"),)`` and ``((q, "Z"),)`` for each
+    transit qubit q), the label of each message in message order, and one
+    readout stream. Built on first use, once per family, so importing the
+    package loads no ``numpy.random``."""
+    sent = family.catalog.state(1)
+    states = {(): sent}
+    for q in family.transit:
+        for g in ("X", "Z"):
+            states[((q, g),)] = apply_on_subset(sent, _NAMED_GATES[g], (q,))
+    labels = np.array([int(bits, 2) for bits in family.decode_table])
+    labels.flags.writeable = False
+    return states, labels, _rng(0)  # outcomes are certain; the seed is irrelevant
+
+
 def _decode_distribution(family: Protocol, channel: ChannelConfig) -> np.ndarray:
     """``C[m-1, j-1]``, the probability that message m is decoded as j.
 
@@ -229,19 +251,18 @@ def _decode_distribution(family: Protocol, channel: ChannelConfig) -> np.ndarray
     with s 0 for I, x for X, x XOR z for Y and z for Z (a term of weight 0
     would only add 0.0). Every row is R relabelled:
     ``C[m, j] = R[label(m) XOR label(j) XOR label(1)]``, labels read from
-    ``decode_table``'s keys, which are listed in message order."""
-    labels = np.array([int(bits, 2) for bits in family.decode_table])  # message order
+    ``decode_table``'s keys, which are listed in message order.
+
+    The exchanges' inputs come from ``_exchange_inputs``, built once per
+    family; every call reads out each exchange it needs anew, so the
+    certainty check runs on every readout."""
+    states, labels, readout = _exchange_inputs(family)
     # Called through the module-level names, so whatever is bound to them
     # (such as the span wrappers of perfbench/tracer.py) runs.
     measure = bell_measure if family is _BELL else ghz_measure
-    readout = _rng(0)  # outcomes are certain; the seed is irrelevant
-    sent = family.catalog.state(1)
 
     def label(*errors) -> int:
-        state = sent
-        for q, g in errors:
-            state = apply_on_subset(state, _NAMED_GATES[g], (q,))
-        decoded, probability = measure(state, readout)
+        decoded, probability = measure(states[errors], readout)
         if abs(probability - 1.0) > 1e-9:
             raise RuntimeError(
                 f"errors {errors} leave message 1 decoded as {decoded} only with "

@@ -71,7 +71,7 @@ def _checked(value, name: str, low, high=None, kind=int):
         kinds = (int, np.integer) if kind is int else (int, float, np.integer, np.floating)
         if isinstance(value, (bool, np.bool_)) or not isinstance(value, kinds):
             what = "an integer" if kind is int else "a real number"
-            raise ValueError(f"{name} must be {what}, got {value!r}")
+            raise ValueError(f"{name} must be {what}, got {_shown(value)}")
         try:
             value = kind(value)
         except OverflowError:  # an int beyond float range

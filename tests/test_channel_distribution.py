@@ -9,11 +9,16 @@ reference that uses only the catalog's states, and, through
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+import ghzdense
 from ghzdense import cli, protocol
 from ghzdense.encoding import _encode
 from ghzdense.ghzmeasure import ghz_measure
@@ -253,6 +258,69 @@ def test_uncertain_readout_of_an_errored_state_is_an_error(monkeypatch):
     monkeypatch.setattr(protocol, "ghz_measure", measure)
     with pytest.raises(RuntimeError, match="basis states"):
         run_trials("ghz3", 10, ChannelConfig(pauli_error_prob=0.1))
+
+
+@pytest.mark.parametrize("name", PROTOCOL_NAMES)
+def test_exchange_inputs_are_the_errored_states_bit_for_bit(name):
+    family = _family(name)
+    states, labels, _ = protocol._exchange_inputs(family)
+    sent = family.catalog.state(1)
+    paulis = {"X": PAULI_X, "Z": PAULI_Z}
+    want = {((q, g),): apply_on_subset(sent, paulis[g], (q,)) for q in family.transit for g in "XZ"}
+    assert list(states) == [(), *want]
+    assert states[()] is sent
+    for errors, state in want.items():
+        assert states[errors].amplitudes.tobytes() == state.amplitudes.tobytes(), errors
+    assert labels.tolist() == [int(bits, 2) for bits in family.decode_table]
+    assert not labels.flags.writeable
+
+
+def test_exchange_inputs_are_built_once_per_family(monkeypatch):
+    """Each transit qubit's X and Z are applied once per family, whatever
+    the channel of the first call."""
+    applied, real = [], protocol.apply_on_subset
+    monkeypatch.setattr(protocol, "apply_on_subset", lambda *a: applied.append(a[2]) or real(*a))
+    protocol._exchange_inputs.cache_clear()
+    try:
+        for p in (0.0, 0.1):
+            run_trials("ghz3", 10, ChannelConfig(pauli_error_prob=p))
+            run_trials("bell2", 10, ChannelConfig(pauli_error_prob=p))
+    finally:
+        protocol._exchange_inputs.cache_clear()
+    assert applied == [(1,), (1,), (2,), (2,), (1,), (1,)]
+
+
+def test_warm_trials_inject_no_error_and_seed_only_their_own_stream(monkeypatch):
+    for name in PROTOCOL_NAMES:
+        run_trials(name, 10)
+    applied, seeded = [], []
+    real_apply, real_rng = protocol.apply_on_subset, protocol._rng
+    monkeypatch.setattr(protocol, "apply_on_subset", lambda *a: applied.append(a) or real_apply(*a))
+    monkeypatch.setattr(protocol, "_rng", lambda seed: seeded.append(seed) or real_rng(seed))
+    channels = [ChannelConfig(p, seed) for p, seed in [(0.0, 3), (0.1, 4), (1.0, 5)]]
+    channels.append(ChannelConfig(rng_seed=6, forced_errors={1: "Y"}))
+    for name in PROTOCOL_NAMES:
+        for channel in channels:
+            run_trials(name, 1_000, channel)
+    assert applied == []
+    assert seeded == [3, 4, 5, 6] * 2
+
+
+def test_import_loads_no_numpy_random():
+    """The readout stream is built on first use, so importing the package
+    or its command line loads ``numpy.random`` only if numpy itself does."""
+    probe = (
+        "import sys, numpy\n"
+        "print('numpy.random' in sys.modules)\n"
+        "import ghzdense\n"
+        "print('numpy.random' in sys.modules)\n"
+        "import ghzdense.cli\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(ghzdense.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env)
+    bare, package, command_line = out.stdout.split()
+    assert package == command_line == bare
 
 
 @pytest.mark.parametrize("name", PROTOCOL_NAMES)

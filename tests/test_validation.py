@@ -28,7 +28,7 @@ from ghzdense.bases import (
     phi_state,
     verify_orthonormal,
 )
-from ghzdense.cli import dispatch, main
+from ghzdense.cli import _parse_state_index, dispatch, main
 from ghzdense.encoding import (
     bell_encode,
     encode,
@@ -249,8 +249,39 @@ LONG_TEXT_REJECTIONS = {
         "expected 'index re im'",
     ),
     "basis_state of 5000 characters": (lambda: basis_state("2" * 5000), "malformed bit string"),
+    "state index of 5000 characters": (
+        lambda: _parse_state_index("1" + "x" * 4999, ghz_catalog()),
+        "malformed state index",
+    ),
+    "run_trials trials of 5000 characters": (lambda: run_trials("ghz3", "9" * 5000), "trials must be an integer"),
 }
 REJECTED.update((name, call) for name, (call, _) in LONG_TEXT_REJECTIONS.items())
+
+# Rejected text of 5000 characters echoed inside a longer message: (call,
+# the field the message must name, the text that follows the echo).
+LONG_TEXT_INSIDE_REJECTIONS = {
+    "state index prefix of 5000 characters": (
+        lambda: _parse_state_index("x" * 5000, ghz_catalog()),
+        "index prefix",
+        " does not name a ghz state; use e.g. psi3 or 3",
+    ),
+    "decode of 5000 characters": (
+        lambda: decode("0" * 5000),
+        "malformed outcome",
+        "; expected three bits like '011'",
+    ),
+    "catalog_by_name of 5000 characters": (
+        lambda: catalog_by_name("x" * 5000),
+        "unknown basis",
+        "; expected one of ['bell', 'ghz', 'phi']",
+    ),
+    "run_trials protocol of 5000 characters": (
+        lambda: run_trials("x" * 5000, 10),
+        "unknown protocol",
+        "; expected one of ('ghz3', 'bell2')",
+    ),
+}
+REJECTED.update((name, call) for name, (call, _, _) in LONG_TEXT_INSIDE_REJECTIONS.items())
 
 
 @pytest.mark.parametrize("call", REJECTED.values(), ids=REJECTED.keys())
@@ -273,6 +304,31 @@ def test_long_rejected_text_is_echoed_shortened(call, field):
     assert len(message) < 200
     assert message.startswith(field)
     assert re.search(r"'\.\.\. \(500\d characters\)$", message)
+
+
+@pytest.mark.parametrize(
+    "call, field, tail", LONG_TEXT_INSIDE_REJECTIONS.values(), ids=LONG_TEXT_INSIDE_REJECTIONS.keys()
+)
+def test_long_rejected_text_is_echoed_shortened_inside_the_message(call, field, tail):
+    with pytest.raises(ValueError) as caught:
+        call()
+    message = str(caught.value)
+    assert len(message) < 200
+    assert message.startswith(field)
+    assert re.search(rf"'\.\.\. \(5000 characters\){re.escape(tail)}$", message)
+
+
+@pytest.mark.parametrize(
+    "message, start",
+    [("x" * 5000, "error: index prefix 'xxxx"), ("1" + "x" * 5000, "error: malformed state index '1xxx")],
+    ids=["5000 letters", "a digit and 5000 letters"],
+)
+def test_cli_echoes_a_long_message_index_shortened(message, start):
+    result = dispatch(["encode", "--message", message])
+    assert result.exit_code == 2
+    assert len(result.stdout) < 200
+    assert result.stdout.startswith(start)
+    assert re.search(r"'\.\.\. \(500\d characters\)", result.stdout)
 
 
 @pytest.mark.parametrize("check", [reachable_by_single_qubit, reachability_oracle])
