@@ -1,6 +1,8 @@
 """Dense coding on GHZ triples: exact simulation, measurement network,
 single-qubit reachability analysis, and noisy round-trip trials."""
 
+from types import ModuleType as _ModuleType
+
 from .qstate import (
     ATOL,
     CNOT,
@@ -71,62 +73,5 @@ from .protocol import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ATOL",
-    "BELL_DECODE_TABLE",
-    "BasisCatalog",
-    "CNOT",
-    "CapacityRow",
-    "ChannelConfig",
-    "DECODE_TABLE",
-    "EncodingOp",
-    "GATE_SEQUENCE",
-    "HADAMARD",
-    "IDENTITY",
-    "MAX_QUBITS",
-    "OrthonormalityReport",
-    "PAULI_X",
-    "PAULI_Y",
-    "PAULI_Z",
-    "PROTOCOL_NAMES",
-    "ReachabilityVerdict",
-    "StateVector",
-    "TrialReport",
-    "UnitaryMatrix",
-    "apply_on_subset",
-    "basis_state",
-    "bell_catalog",
-    "bell_encode",
-    "bell_measure",
-    "bell_state",
-    "capacity_summary",
-    "catalog_by_name",
-    "decode",
-    "disentangle",
-    "dump_state",
-    "embed_on_subset",
-    "encode",
-    "encoding_op",
-    "fidelity_up_to_phase",
-    "ghz_catalog",
-    "ghz_measure",
-    "ghz_state",
-    "haar_random_unitary",
-    "index_distribution",
-    "inner_product",
-    "load_state",
-    "measure_computational",
-    "network_unitary",
-    "outcome_for_index",
-    "phi_catalog",
-    "phi_state",
-    "reachability_matrix",
-    "reachability_oracle",
-    "reachability_oracle_matrix",
-    "reachable_by_single_qubit",
-    "roundtrip_bell",
-    "roundtrip_ghz",
-    "run_trials",
-    "tensor",
-    "verify_orthonormal",
-]
+# The import block above is the one list of public names.
+__all__ = sorted(name for name, value in globals().items() if name[0] != "_" and not isinstance(value, _ModuleType))

@@ -42,6 +42,22 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.format_usage()}{self.prog}: error: {message}")
 
 
+def _number(kind):
+    """An argparse ``type=`` reader: Python's ``kind()`` grammar, with a
+    rejected value echoed through :func:`_shown`."""
+
+    def read(text: str):
+        try:
+            return kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {_shown(text)}") from None
+
+    return read
+
+
+_INT, _FLOAT = _number(int), _number(float)
+
+
 def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
@@ -137,16 +153,9 @@ def _cmd_reach(args) -> CommandResult:
 
 
 def _cmd_network_show(args) -> CommandResult:
-    lines = ["gate sequence:"]
-    for name, qubits in GATE_SEQUENCE:
-        if len(qubits) == 2:
-            lines.append(f"  {name} control={qubits[0]} target={qubits[1]}")
-        else:
-            lines.append(f"  {name} qubit={qubits[0]}")
-    lines.append("truth table (ghz index -> measured bits):")
-    for label, outcome in zip(_labels(ghz_catalog()), DECODE_TABLE):
-        lines.append(f"  {label} -> {outcome}")
-    return CommandResult(0, "\n".join(lines))
+    gates = [f"  {g} control={q[0]} target={q[1]}" if len(q) == 2 else f"  {g} qubit={q[0]}" for g, q in GATE_SEQUENCE]
+    table = [f"  {label} -> {outcome}" for label, outcome in zip(_labels(ghz_catalog()), DECODE_TABLE)]
+    return CommandResult(0, "\n".join(["gate sequence:", *gates, "truth table (ghz index -> measured bits):", *table]))
 
 
 def _cmd_network_apply(args) -> CommandResult:
@@ -157,36 +166,36 @@ def _cmd_network_apply(args) -> CommandResult:
 
 def _cmd_roundtrip(args) -> CommandResult:
     channel = ChannelConfig(pauli_error_prob=args.noise, rng_seed=args.seed)
-    fixed = None
-    if args.message is not None:
-        fixed = _parse_state_index(args.message, _family(args.protocol).catalog)
+    fixed = None if args.message is None else _parse_state_index(args.message, _family(args.protocol).catalog)
     payload = run_trials(args.protocol, args.trials, channel, fixed_message=fixed).to_json_dict()
     return _report(args, payload, [f"{key:<28}{_text(value)}" for key, value in payload.items()])
 
 
 def _cmd_capacity(args) -> CommandResult:
     rows = capacity_summary()
-    lines = ["protocol  messages  qubits_transmitted  total_bits  bits_per_transmitted_qubit"]
-    for r in rows:
-        lines.append(
-            f"{r.protocol:<8}  {r.message_count:<8}  {r.qubits_transmitted:<18}  "
-            f"{r.total_bits:<10.1f}  {r.bits_per_transmitted_qubit:.1f}"
-        )
+    lines = ["protocol  messages  qubits_transmitted  total_bits  bits_per_transmitted_qubit"] + [
+        f"{r.protocol:<8}  {r.message_count:<8}  {r.qubits_transmitted:<18}  "
+        f"{r.total_bits:<10.1f}  {r.bits_per_transmitted_qubit:.1f}"
+        for r in rows
+    ]
     return _report(args, [asdict(r) for r in rows], lines)
 
 
 def _build_parser() -> _Parser:
+    # Basis and protocol names are checked by catalog_by_name and _family
+    # alone; the metavar shows them as argparse would show choices=.
+    basis = {"required": True, "metavar": "{" + ",".join(_CATALOGS) + "}"}
     parser = _Parser(prog="ghzdense", description="Dense coding on GHZ triples: simulate, verify, analyze.")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     bases = sub.add_parser("bases", help="inspect the built-in bases")
     bases_sub = bases.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
     verify = bases_sub.add_parser("verify", help="orthonormality report")
-    verify.add_argument("--basis", required=True, choices=tuple(_CATALOGS))
+    verify.add_argument("--basis", **basis)
     verify.add_argument("--json", action="store_true")
     verify.set_defaults(handler=_cmd_bases_verify)
     dump = bases_sub.add_parser("dump", help="print one basis state")
-    dump.add_argument("--basis", required=True, choices=tuple(_CATALOGS))
+    dump.add_argument("--basis", **basis)
     dump.add_argument("--index", required=True, help="state index, e.g. 3 or psi3")
     dump.set_defaults(handler=_cmd_bases_dump)
 
@@ -195,11 +204,11 @@ def _build_parser() -> _Parser:
     enc.set_defaults(handler=_cmd_encode)
 
     reach = sub.add_parser("reach", help="single-qubit reachability matrix of a basis")
-    reach.add_argument("--basis", required=True, choices=tuple(_CATALOGS))
-    reach.add_argument("--qubit", type=int, default=1)
+    reach.add_argument("--basis", **basis)
+    reach.add_argument("--qubit", type=_INT, default=1)
     reach.add_argument("--oracle", action="store_true", help="also print best sampled fidelities")
-    reach.add_argument("--samples", type=int, help="oracle sample count, at most 10^8 (default 10000); needs --oracle")
-    reach.add_argument("--seed", type=int, help="oracle seed (default 0); needs --oracle")
+    reach.add_argument("--samples", type=_INT, help="oracle sample count, at most 10^8 (default 10000); needs --oracle")
+    reach.add_argument("--seed", type=_INT, help="oracle seed (default 0); needs --oracle")
     reach.add_argument("--json", action="store_true")
     reach.set_defaults(handler=_cmd_reach)
 
@@ -212,10 +221,10 @@ def _build_parser() -> _Parser:
     apply_cmd.set_defaults(handler=_cmd_network_apply)
 
     rt = sub.add_parser("roundtrip", help="simulate full protocol round trips")
-    rt.add_argument("--protocol", required=True, choices=PROTOCOL_NAMES)
-    rt.add_argument("--trials", type=int, default=1000)
-    rt.add_argument("--seed", type=int, default=0)
-    rt.add_argument("--noise", type=float, default=0.0, help="per-transit-qubit Pauli error probability")
+    rt.add_argument("--protocol", required=True, metavar="{" + ",".join(PROTOCOL_NAMES) + "}")
+    rt.add_argument("--trials", type=_INT, default=1000)
+    rt.add_argument("--seed", type=_INT, default=0)
+    rt.add_argument("--noise", type=_FLOAT, default=0.0, help="per-transit-qubit Pauli error probability")
     rt.add_argument("--message", default=None, help="pin every trial to this message")
     rt.add_argument("--json", action="store_true")
     rt.set_defaults(handler=_cmd_roundtrip)
@@ -238,8 +247,11 @@ def dispatch(argv: Sequence[str]) -> CommandResult:
         return CommandResult(int(exc.code or 0), "")
     try:
         return args.handler(args)
-    except (ValueError, OSError) as exc:
+    except ValueError as exc:
         return CommandResult(2, f"error: {exc}")
+    except OSError as exc:  # str(exc) would echo the whole file name
+        shown = str(exc) if exc.filename is None else f"[Errno {exc.errno}] {exc.strerror}: {_shown(exc.filename)}"
+        return CommandResult(2, f"error: {shown}")
 
 
 def main(argv: Sequence[str] | None = None) -> None:

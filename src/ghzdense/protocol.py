@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from functools import cache
 
 import numpy as np
@@ -139,7 +139,8 @@ class TrialReport:
         wrong type or out of range, and a payload that contradicts itself
         raise ``ValueError``: ``success_rate`` must be ``successes / trials``,
         ``bits_per_transmitted_qubit`` the protocol's own, and each
-        histogram must hold one count per message, summing to ``trials``."""
+        histogram must hold one count per message, summing to ``trials``. A
+        contradiction's message names the fields that break these rules."""
 
         if not isinstance(data, Mapping):
             raise ValueError(f"trial report must be a mapping, got {type(data).__name__}")
@@ -163,11 +164,15 @@ class TrialReport:
             )
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed trial report: {exc!r}") from None
-        bits = _capacity(family).bits_per_transmitted_qubit
-        own = replace(report, success_rate=report.successes / trials, bits_per_transmitted_qubit=bits)
-        histograms = (report.messages_histogram, report.decoded_histogram)
-        if report != own or any(len(h) != len(family.catalog) or sum(h) != trials for h in histograms):
-            raise ValueError(f"trial report contradicts itself: {dict(data)!r}")
+        n, bits = len(family.catalog), _capacity(family).bits_per_transmitted_qubit
+        holds = {
+            "success_rate": report.success_rate == report.successes / trials,
+            "bits_per_transmitted_qubit": report.bits_per_transmitted_qubit == bits,
+            "messages_histogram": len(report.messages_histogram) == n and sum(report.messages_histogram) == trials,
+            "decoded_histogram": len(report.decoded_histogram) == n and sum(report.decoded_histogram) == trials,
+        }
+        if not all(holds.values()):
+            raise ValueError("trial report contradicts itself: " + ", ".join(k for k, ok in holds.items() if not ok))
         return report
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ghzdense.bases import bell_catalog, ghz_state, phi_catalog
+from ghzdense.bases import _CATALOGS, bell_catalog, ghz_state, phi_catalog
 from ghzdense.cli import CommandResult, _fmt, dispatch, main
 from ghzdense.encoding import reachability_matrix, reachability_oracle_matrix
 from ghzdense.qstate import basis_state, dump_state, fidelity_up_to_phase, load_state
@@ -278,6 +278,11 @@ class TestDispatchPlumbing:
 
     def test_help_exits_zero(self):
         assert dispatch(["--help"]).exit_code == 0
+
+    def test_usage_shows_the_basis_names_of_the_catalogs(self):
+        shown = "{" + ",".join(_CATALOGS) + "}"
+        assert shown == "{bell,ghz,phi}"
+        assert f"--basis {shown}" in dispatch(["bases", "verify"]).stdout
 
     def test_fmt_uses_12_significant_digits(self):
         assert _fmt(1 / 3) == "0.333333333333"

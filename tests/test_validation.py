@@ -354,6 +354,13 @@ def test_trial_reports_pass_the_consistency_checks_exactly(protocol, p, seed):
     assert TrialReport.from_json_dict(payload).to_json_dict() == payload
 
 
+def test_a_contradicting_report_names_the_field_not_the_payload():
+    payload = {**REPORT, "decoded_histogram": [*REPORT["decoded_histogram"], *[0] * 10**5]}
+    with pytest.raises(ValueError) as caught:
+        TrialReport.from_json_dict(payload)
+    assert str(caught.value) == "trial report contradicts itself: decoded_histogram"
+
+
 def test_trial_report_at_the_trial_ceiling_round_trips():
     # run_trials and from_json_dict share one ceiling: int64 max is the largest count either accepts.
     payload = json.loads(json.dumps(run_trials("bell2", INT64_MAX, ChannelConfig(0.2, 1)).to_json_dict()))
@@ -594,3 +601,15 @@ def test_any_state_file_amplitude_exits_0_1_or_2(tmp_path):
         _exits_cleanly(["network", "apply", "--state-file", str(path)])
 
     probed(check, TOKENS)()
+
+
+@pytest.mark.parametrize("value", ["x" * 5000, "9" * 5000], ids=["5000 letters", "5000 digits"])
+@pytest.mark.parametrize(
+    "template", [t for k, t in CLI_OPTIONS.items() if k != "capacity"], ids=[k for k in CLI_OPTIONS if k != "capacity"]
+)
+def test_a_long_option_value_exits_2_with_a_short_message(template, value):
+    result = dispatch([value if word == "{}" else word for word in template.split()])
+    assert result.exit_code == 2
+    message = result.stdout.splitlines()[-1]  # argparse's errors follow the usage text
+    assert "error: " in message
+    assert len(message) < 200, message[:300]
