@@ -41,21 +41,40 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(f"{self.format_usage()}{self.prog}: error: {message}")
 
+    # argparse's own echoes of a rejected token, shown through _shown; the
+    # usage line above the error already lists a command's choices.
+    def _check_value(self, action, value):
+        if action.choices is not None and value not in action.choices:
+            raise argparse.ArgumentError(action, f"invalid choice: {_shown(value)}")
 
-def _number(kind):
-    """An argparse ``type=`` reader: Python's ``kind()`` grammar, with a
-    rejected value echoed through :func:`_shown`."""
+    def parse_args(self, args=None, namespace=None):
+        namespace, extras = self.parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(map(_shown, extras))}")
+        return namespace
 
-    def read(text: str):
+
+def _integer(name: str):
+    """An argparse ``type=`` reader for an integer flag: ASCII digits through
+    :func:`_decimal`, bounded only by its 20 digits, so the library checks
+    the range and names it."""
+
+    def read(text: str) -> int:
         try:
-            return kind(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {_shown(text)}") from None
+            return _decimal(text, name, 0, 10**20 - 1)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
     return read
 
 
-_INT, _FLOAT = _number(int), _number(float)
+def _float(text: str) -> float:
+    """An argparse ``type=`` reader: Python's ``float()`` grammar, with a
+    rejected value echoed through :func:`_shown`."""
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {_shown(text)}") from None
 
 
 def _fmt(value: float) -> str:
@@ -205,10 +224,12 @@ def _build_parser() -> _Parser:
 
     reach = sub.add_parser("reach", help="single-qubit reachability matrix of a basis")
     reach.add_argument("--basis", **basis)
-    reach.add_argument("--qubit", type=_INT, default=1)
+    reach.add_argument("--qubit", type=_integer("qubit"), default=1)
     reach.add_argument("--oracle", action="store_true", help="also print best sampled fidelities")
-    reach.add_argument("--samples", type=_INT, help="oracle sample count, at most 10^8 (default 10000); needs --oracle")
-    reach.add_argument("--seed", type=_INT, help="oracle seed (default 0); needs --oracle")
+    reach.add_argument(
+        "--samples", type=_integer("samples"), help="oracle sample count, at most 10^8 (default 10000); needs --oracle"
+    )
+    reach.add_argument("--seed", type=_integer("seed"), help="oracle seed (default 0); needs --oracle")
     reach.add_argument("--json", action="store_true")
     reach.set_defaults(handler=_cmd_reach)
 
@@ -222,9 +243,9 @@ def _build_parser() -> _Parser:
 
     rt = sub.add_parser("roundtrip", help="simulate full protocol round trips")
     rt.add_argument("--protocol", required=True, metavar="{" + ",".join(PROTOCOL_NAMES) + "}")
-    rt.add_argument("--trials", type=_INT, default=1000)
-    rt.add_argument("--seed", type=_INT, default=0)
-    rt.add_argument("--noise", type=_FLOAT, default=0.0, help="per-transit-qubit Pauli error probability")
+    rt.add_argument("--trials", type=_integer("trials"), default=1000)
+    rt.add_argument("--seed", type=_integer("seed"), default=0)
+    rt.add_argument("--noise", type=_float, default=0.0, help="per-transit-qubit Pauli error probability")
     rt.add_argument("--message", default=None, help="pin every trial to this message")
     rt.add_argument("--json", action="store_true")
     rt.set_defaults(handler=_cmd_roundtrip)

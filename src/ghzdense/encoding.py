@@ -17,9 +17,12 @@ X^H X and Y^H Y agree entrywise: the columns are frames of vectors in
 C^2, and frames with equal Gram matrices are unitarily related. A global
 phase on either state cancels out of its Gram matrix, so the criterion
 already carries the up-to-phase freedom. When the verdict is positive,
-the witness is the unitary polar factor of Y X^H; when negative, the
-largest achievable overlap |<target| (u (x) 1) |source>| over all
-unitaries u is the nuclear norm of Y X^H, reported as the obstruction.
+the witness is the unitary polar factor W of Y X^H, re-checked on the
+same split: |<Y, W X>|^2 must reach 1 - 1e-9, else the Gram test and the
+polar construction disagree and an ``ArithmeticError`` is raised. When
+negative, the largest achievable overlap |<target| (u (x) 1) |source>|
+over all unitaries u is the nuclear norm of Y X^H, reported as the
+obstruction.
 
 The sampled oracle cross-checks these verdicts by brute force. Each
 sample is a unit quaternion g (four normals over their norm), which is a
@@ -38,14 +41,13 @@ import numpy as np
 
 from .bases import BasisCatalog, Protocol, ghz_family
 from .qstate import StateVector, UnitaryMatrix, _checked, _rng, _split, apply_on_subset
-from .qstate import fidelity_up_to_phase
 
 REACH_ATOL = 1e-10  # Gram comparisons accumulate a few products
 _WITNESS_MIN_FIDELITY = 1.0 - 1e-9
 _MAX_SAMPLES = 10**8  # oracle samples per call: about a minute for a catalog
 # Samples per draw and scoring product: it bounds the normals at 1024 x 4
-# (32 KB) and the squared projections at 1024 x 2 per distinct form (115 KB
-# for phi's 7), and the per-chunk calls stay few.
+# (32 KB) and the squared projections at 2c x 1024 for c distinct forms
+# (115 KB for phi's 7), and the per-chunk calls stay few.
 _ORACLE_CHUNK = 1024
 
 _GHZ, _BELL = ghz_family(3), ghz_family(2)
@@ -117,11 +119,23 @@ def _cofactors(states, qubit: int) -> list[np.ndarray]:
     return [_split(state, (qubit,))[1] for state in states]
 
 
+def _witness_fidelity(witness: UnitaryMatrix, x: np.ndarray, y: np.ndarray) -> float:
+    """|<target| (witness (x) 1) |source>|^2, read off the co-factor matrices
+    X and Y of source and target: the witness acts on the rows, so the moved
+    source is witness @ X in the same split as Y, and no state is built."""
+    return float(abs(np.vdot(y, witness.entries @ x)) ** 2)
+
+
 def reachable_by_single_qubit(
     source: StateVector, target: StateVector, qubit: int
 ) -> ReachabilityVerdict:
     """Decide whether some unitary on ``qubit`` alone maps ``source`` to
-    ``target`` up to global phase, exactly (no sampling involved)."""
+    ``target`` up to global phase, exactly (no sampling involved).
+
+    A positive verdict's witness is re-checked on the co-factor matrices
+    already split for the Gram test (:func:`_witness_fidelity`, with no
+    third split and no new state); a fidelity below
+    ``_WITNESS_MIN_FIDELITY`` is an ``ArithmeticError``."""
     x, y = _cofactors((source, target), qubit)
     gram_gap = float(np.max(np.abs(x.conj().T @ x - y.conj().T @ y)))
     cross = y @ x.conj().T
@@ -129,7 +143,7 @@ def reachable_by_single_qubit(
     if gram_gap > REACH_ATOL:
         return ReachabilityVerdict(reachable=False, obstruction=float(sing.sum()))
     witness = UnitaryMatrix(w @ vh)
-    achieved = fidelity_up_to_phase(apply_on_subset(source, witness, (qubit,)), target)
+    achieved = _witness_fidelity(witness, x, y)
     if achieved < _WITNESS_MIN_FIDELITY:
         raise ArithmeticError(
             f"witness fidelity {achieved} below {_WITNESS_MIN_FIDELITY}; "
@@ -141,8 +155,8 @@ def reachable_by_single_qubit(
 def _oracle_forms(sources, targets, qubit: int) -> tuple[np.ndarray, np.ndarray]:
     """Each (source, target) pair's fidelity under a unitary on ``qubit``,
     as a real quadratic form on the unit quaternions: the distinct forms'
-    4 x 2c columns (c real parts, then c imaginary parts) and, per pair in
-    row-major order, the index of its form.
+    contiguous 2c x 4 rows (c real parts of L, then c imaginary parts) and,
+    per pair in row-major order, the index of its form.
 
     The overlap <target| (u (x) 1) |source> is sum_ab u_ab M_ab with
     M = conj(Y) X^T, every pair's M from one ``einsum`` over the stacked
@@ -166,7 +180,7 @@ def _oracle_forms(sources, targets, qubit: int) -> tuple[np.ndarray, np.ndarray]
     # Each Q compared as its 128 bytes, several times faster than np.unique over rows of floats.
     keys = quadratic.reshape(-1, 16).view((np.void, 128)).ravel()
     _, first, which = np.unique(keys, return_index=True, return_inverse=True)
-    return np.concatenate((re[first], im[first])).T, which
+    return np.concatenate((re[first], im[first])), which
 
 
 def _best_sampled_fidelities(sources, targets, qubit: int, samples, rng_seed) -> np.ndarray:
@@ -183,18 +197,20 @@ def _best_sampled_fidelities(sources, targets, qubit: int, samples, rng_seed) ->
     on U(2) would give. The samples are drawn ``_ORACLE_CHUNK`` rows at a
     time from the one stream, which yields the same normals as one draw of
     them all, and each chunk scores every distinct form in real arithmetic
-    by one (chunk, 4) @ (4, 2c) product, whose two halves, squared and
-    added, are the c fidelities; no unitary is built.
+    by one (2c, 4) @ (4, chunk) product of the forms' contiguous rows and
+    the normalised draws; its two row halves, squared and added, are the c
+    fidelities, each reduced along its own contiguous row. No unitary is
+    built.
     """
     samples = _checked(samples, "samples", 1, _MAX_SAMPLES)
-    columns, which = _oracle_forms(sources, targets, qubit)
-    count = columns.shape[1] // 2
+    rows, which = _oracle_forms(sources, targets, qubit)
+    count = rows.shape[0] // 2
     rng = _rng(rng_seed)
     best = np.zeros(count)
     for start in range(0, samples, _ORACLE_CHUNK):
         g = rng.standard_normal((min(samples - start, _ORACLE_CHUNK), 4))
-        parts = (g / np.linalg.norm(g, axis=1, keepdims=True) @ columns) ** 2
-        np.maximum(best, (parts[:, :count] + parts[:, count:]).max(axis=0), out=best)
+        parts = (rows @ (g / np.linalg.norm(g, axis=1, keepdims=True)).T) ** 2
+        np.maximum(best, (parts[:count] + parts[count:]).max(axis=1), out=best)
     return best[which].reshape(len(sources), len(targets))
 
 

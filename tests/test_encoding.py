@@ -222,13 +222,18 @@ class TestReachableBySingleQubit:
             reachable_by_single_qubit(ghz_state(1), ghz_state(3), qubit)
 
     def test_witness_that_misses_its_target_is_an_arithmetic_error(self, monkeypatch):
-        import ghzdense.encoding as encoding_mod
-
-        monkeypatch.setattr(encoding_mod, "fidelity_up_to_phase", lambda a, b: 0.5)
+        monkeypatch.setattr(encoding_mod, "_witness_fidelity", lambda witness, x, y: 0.5)
         with pytest.raises(ArithmeticError, match="witness fidelity 0.5"):
             reachable_by_single_qubit(ghz_state(1), ghz_state(3), 1)
         # An unreachable pair is decided before any witness is built.
         assert not reachable_by_single_qubit(ghz_state(1), ghz_state(5), 1).reachable
+
+    def test_a_wrong_polar_factor_fails_the_recheck(self, monkeypatch):
+        # Whatever computes the re-check, a witness of Pauli X for the
+        # reachable pair (psi1, psi1), which X does not map, must be caught.
+        monkeypatch.setattr(np.linalg, "svd", lambda m: (PAULI_X.entries, np.ones(2), np.eye(2)))
+        with pytest.raises(ArithmeticError, match="witness fidelity"):
+            reachable_by_single_qubit(ghz_state(1), ghz_state(1), 1)
 
 
 def _every_pair_matrix(catalog, qubit):
@@ -318,7 +323,7 @@ class TestReachabilityMatrix:
 
     def test_witness_recheck_still_guards_the_matrix(self, monkeypatch):
         # The diagonal keeps its verdict, so every matrix re-checks witnesses.
-        monkeypatch.setattr(encoding_mod, "fidelity_up_to_phase", lambda a, b: 0.5)
+        monkeypatch.setattr(encoding_mod, "_witness_fidelity", lambda witness, x, y: 0.5)
         with pytest.raises(ArithmeticError, match="witness fidelity 0.5"):
             reachability_matrix(ghz_catalog(), 1)
 
@@ -437,7 +442,8 @@ def _exact_optimum(catalog, qubit):
 class TestReachabilityOracleMatrix:
     """All pairs are scored against one shared set of Haar draws."""
 
-    @pytest.mark.parametrize("samples", [50_003, _ORACLE_CHUNK + 3])
+    # Many chunks, a full one and 3 more, one row, one exact chunk.
+    @pytest.mark.parametrize("samples", [50_003, _ORACLE_CHUNK + 3, 1, _ORACLE_CHUNK])
     @pytest.mark.parametrize("catalog_fn,qubit", CATALOG_QUBITS)
     def test_scoring_distinct_forms_once_is_exact(self, catalog_fn, qubit, samples):
         got = reachability_oracle_matrix(catalog_fn(), qubit, samples=samples, rng_seed=3)
@@ -449,9 +455,9 @@ class TestReachabilityOracleMatrix:
         """The largest eigenvalue of a pair's Q is the best fidelity any
         unitary on the qubit reaches, the Gram analysis' exact optimum."""
         cat = catalog_fn()
-        columns, which = _oracle_forms(cat.states, cat.states, qubit)
-        re, im = np.split(columns, 2, axis=1)
-        quadratic = np.einsum("ic,jc->cij", re, re) + np.einsum("ic,jc->cij", im, im)
+        rows, which = _oracle_forms(cat.states, cat.states, qubit)
+        re, im = np.split(rows, 2)
+        quadratic = np.einsum("ci,cj->cij", re, re) + np.einsum("ci,cj->cij", im, im)
         peaks = np.linalg.eigvalsh(quadratic)[:, -1][which].reshape(len(cat), len(cat))
         assert np.abs(peaks - _exact_optimum(cat, qubit)).max() <= 1e-12
 
@@ -463,8 +469,9 @@ class TestReachabilityOracleMatrix:
     )
     def test_scores_each_distinct_form_once(self, catalog_fn, qubit, count):
         cat = catalog_fn()
-        columns, which = _oracle_forms(cat.states, cat.states, qubit)
-        assert columns.shape == (4, 2 * count)  # of 64 or 16 pairs
+        rows, which = _oracle_forms(cat.states, cat.states, qubit)
+        assert rows.shape == (2 * count, 4)  # of 64 or 16 pairs
+        assert rows.flags.c_contiguous
         assert sorted(set(which.tolist())) == list(range(count))
 
     @pytest.mark.parametrize("catalog_fn,qubit", CATALOG_QUBITS)
@@ -562,9 +569,10 @@ class TestOracleDraws:
         forms = np.stack((m00 + m11, 1j * (m00 - m11), m10 - m01, 1j * (m10 + m01)))
         unit = g / np.linalg.norm(g, axis=1, keepdims=True)
         assert np.abs(unit @ forms - overlaps).max() <= 1e-14
-        columns, which = _oracle_forms(cat.states, cat.states, qubit)
-        parts = (unit @ columns) ** 2
-        scored = (parts[:, : columns.shape[1] // 2] + parts[:, columns.shape[1] // 2 :])[:, which]
+        form_rows, which = _oracle_forms(cat.states, cat.states, qubit)
+        parts = (form_rows @ unit.T) ** 2
+        count = form_rows.shape[0] // 2
+        scored = (parts[:count] + parts[count:])[which].T
         assert np.abs(scored - np.abs(overlaps) ** 2).max() <= 1e-14
 
 

@@ -557,7 +557,8 @@ def test_any_value_gives_a_result_or_value_error(call):
     probed(check, HOSTILE)()
 
 
-# Each CLI option, with the token under probe in place of "{}".
+# Each CLI option, an extra argument and the command name, with the token
+# under probe in place of "{}".
 CLI_OPTIONS = {
     "bases verify --basis": "bases verify --basis {}",
     "bases dump --basis": "bases dump --basis {} --index 1",
@@ -574,6 +575,7 @@ CLI_OPTIONS = {
     "roundtrip --noise": "roundtrip --protocol bell2 --noise {}",
     "roundtrip --message": "roundtrip --protocol ghz3 --message {}",
     "capacity": "capacity {}",
+    "command": "{}",
 }
 TOKENS = ("True", "nan", "inf", "-inf", "1e308", str(2**70), "9" * 4301, "", "abc", "None", "[1, 2]", "{}")
 TOKENS += ("-1", "0", "1", "psi3", "1.5", "0x10", "１", "--json")
@@ -604,12 +606,21 @@ def test_any_state_file_amplitude_exits_0_1_or_2(tmp_path):
 
 
 @pytest.mark.parametrize("value", ["x" * 5000, "9" * 5000], ids=["5000 letters", "5000 digits"])
-@pytest.mark.parametrize(
-    "template", [t for k, t in CLI_OPTIONS.items() if k != "capacity"], ids=[k for k in CLI_OPTIONS if k != "capacity"]
-)
+@pytest.mark.parametrize("template", CLI_OPTIONS.values(), ids=CLI_OPTIONS.keys())
 def test_a_long_option_value_exits_2_with_a_short_message(template, value):
     result = dispatch([value if word == "{}" else word for word in template.split()])
     assert result.exit_code == 2
+    assert len(result.stdout.encode()) + 1 < 400  # main() prints it with a newline
     message = result.stdout.splitlines()[-1]  # argparse's errors follow the usage text
     assert "error: " in message
     assert len(message) < 200, message[:300]
+
+
+@pytest.mark.parametrize("text", ["١", "1_000", " 7 ", "+1"], ids=["arabic-indic one", "underscore", "spaces", "sign"])
+@pytest.mark.parametrize(
+    "option", ["reach --qubit", "reach --samples", "reach --seed", "roundtrip --trials", "roundtrip --seed"]
+)
+def test_integer_flags_read_ascii_digits_only(option, text):
+    result = dispatch([text if word == "{}" else word for word in CLI_OPTIONS[option].split()])
+    assert result.exit_code == 2
+    assert result.stdout.splitlines()[-1].endswith(f": malformed {option.split('--')[1]} {text!r}")
