@@ -15,8 +15,10 @@ slip cannot hide below the Gram-test tolerance.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import reduce
+from types import MappingProxyType
 
 import numpy as np
 
@@ -65,14 +67,15 @@ class Protocol:
     applies ``encoders[m-1]`` to the ``transit`` qubits of catalog state 1,
     giving state m; ``network`` then turns it into the bits that
     ``decode_table`` maps back to m. Its keys are listed in message order,
-    so the i-th key is message i's readout."""
+    so the i-th key is message i's readout, and it is read-only: the
+    labels cached from it cannot drift from what decoding reads."""
 
     name: str
     catalog: BasisCatalog
     transit: tuple[int, ...]
     encoders: tuple[UnitaryMatrix, ...]
     network: tuple[tuple[str, tuple[int, ...]], ...]
-    decode_table: dict[str, int]
+    decode_table: Mapping[str, int]
 
 
 # Per family size: protocol name, basis name, and each message's encoder
@@ -113,7 +116,7 @@ def _build_family(n: int) -> Protocol:
         transit=tuple(range(1, n)),
         encoders=tuple(reduce(tensor, map(_gates, ops.split())) for ops in factors),
         network=tuple(("CNOT", (1, t)) for t in range(n, 1, -1)) + (("H", (1,)),),
-        decode_table=decode_table,
+        decode_table=MappingProxyType(decode_table),
     )
 
 
@@ -128,7 +131,7 @@ _CATALOGS["phi"] = BasisCatalog(
 def ghz_family(n: int) -> Protocol:
     """The n-qubit GHZ dense-coding protocol: n=2 is the Bell protocol
     ``bell2``, n=3 the GHZ-triple protocol ``ghz3``."""
-    return _FAMILIES[_checked(n, "GHZ family size n", 2, 3)]
+    return _FAMILIES[_checked(n, "GHZ family size n", min(_FAMILIES), max(_FAMILIES))]
 
 
 def bell_state(index: int) -> StateVector:

@@ -16,10 +16,10 @@ from pathlib import Path
 from collections.abc import Sequence
 
 from .bases import _CATALOGS, BasisCatalog, catalog_by_name, ghz_catalog, verify_orthonormal
-from .encoding import encode, reachability_matrix, reachability_oracle_matrix
+from .encoding import _ORACLE_SAMPLES, encode, reachability_matrix, reachability_oracle_matrix
 from .ghzmeasure import DECODE_TABLE, GATE_SEQUENCE, disentangle
 from .protocol import PROTOCOL_NAMES, ChannelConfig, _family, capacity_summary, run_trials
-from .qstate import ATOL, _decimal, _shown, dump_state, load_state
+from .qstate import ATOL, _decimal, _real, _shown, dump_state, load_state
 
 _INDEX_PREFIX = {"ghz": "psi", "phi": "phi", "bell": "bell"}
 
@@ -69,10 +69,10 @@ def _integer(name: str):
 
 
 def _float(text: str) -> float:
-    """An argparse ``type=`` reader: Python's ``float()`` grammar, with a
-    rejected value echoed through :func:`_shown`."""
+    """An argparse ``type=`` reader of real-number text through
+    :func:`_real`, with a rejected value echoed through :func:`_shown`."""
     try:
-        return float(text)
+        return _real(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid float value: {_shown(text)}") from None
 
@@ -163,7 +163,7 @@ def _cmd_reach(args) -> CommandResult:
         *table(reachable, lambda v: "1" if v else "0"),
     ]
     if args.oracle:
-        samples = 10_000 if args.samples is None else args.samples
+        samples = _ORACLE_SAMPLES if args.samples is None else args.samples
         seed = 0 if args.seed is None else args.seed
         fidelities = reachability_oracle_matrix(catalog, args.qubit, samples, seed).tolist()
         payload.update(samples=samples, seed=seed, max_fidelity=fidelities)
@@ -227,7 +227,9 @@ def _build_parser() -> _Parser:
     reach.add_argument("--qubit", type=_integer("qubit"), default=1)
     reach.add_argument("--oracle", action="store_true", help="also print best sampled fidelities")
     reach.add_argument(
-        "--samples", type=_integer("samples"), help="oracle sample count, at most 10^8 (default 10000); needs --oracle"
+        "--samples",
+        type=_integer("samples"),
+        help=f"oracle sample count, at most 10^8 (default {_ORACLE_SAMPLES}); needs --oracle",
     )
     reach.add_argument("--seed", type=_integer("seed"), help="oracle seed (default 0); needs --oracle")
     reach.add_argument("--json", action="store_true")

@@ -44,6 +44,7 @@ from .qstate import StateVector, UnitaryMatrix, _checked, _rng, _split, apply_on
 
 REACH_ATOL = 1e-10  # Gram comparisons accumulate a few products
 _WITNESS_MIN_FIDELITY = 1.0 - 1e-9
+_ORACLE_SAMPLES = 10_000  # the oracle's default sample count, the command line's too
 _MAX_SAMPLES = 10**8  # oracle samples per call: about a minute for a catalog
 # Samples per draw and scoring product: it bounds the normals at 1024 x 4
 # (32 KB) and the squared projections at 2c x 1024 for c distinct forms
@@ -218,7 +219,7 @@ def reachability_oracle(
     source: StateVector,
     target: StateVector,
     qubit: int,
-    samples: int = 10_000,
+    samples: int = _ORACLE_SAMPLES,
     rng_seed=0,
 ) -> float:
     """Brute-force cross-check, kept independent of the Gram analysis:
@@ -259,7 +260,7 @@ def reachability_matrix(catalog: BasisCatalog, qubit: int) -> np.ndarray:
 
 
 def reachability_oracle_matrix(
-    catalog: BasisCatalog, qubit: int, samples: int = 10_000, rng_seed=0
+    catalog: BasisCatalog, qubit: int, samples: int = _ORACLE_SAMPLES, rng_seed=0
 ) -> np.ndarray:
     """Best sampled fidelity for every ordered catalog pair.
 

@@ -10,23 +10,12 @@ Two protocols are covered:
 
 Noise model: while a qubit is in transit it suffers, with probability p,
 one Pauli error (X, Y or Z, each with probability p/3). Only qubits in
-transit are exposed; the receiver's qubit is ideal. The channel is thus
-one table per transit qubit giving the weight of I, X, Y and Z on it,
-each qubit hit on its own, and every Pauli maps every basis state to
-another basis state, so the decode distribution ``C[m-1, j-1]`` (message
-m read as j) is exact. The encoders are local Paulis and the receiver's
-network is Clifford, so an error XORs the same bit syndrome into every
-message's label, and errors on several qubits XOR their syndromes. C is
-therefore built from state-vector exchanges of message 1: one
-error-free, and one per X or Z error on each transit qubit (5 for ghz3
-and 3 for bell2 at 0 < p < 1, 1 at p = 0). Their inputs, message 1's
-state with each error applied once, the labels and the readout stream,
-are built once per family on first use; each call reads out the
-exchanges it needs. Row 1 takes in one qubit's table at a time by XOR,
-and the other rows are row 1 relabelled. Batches
-sample from C with one random stream per call, seeded by the channel:
-first the message counts, then each message's decoded counts in message
-order.
+transit are exposed; the receiver's qubit is ideal. Every Pauli maps
+basis states to basis states, so the decode distribution is exact; it is
+built from a few state-vector exchanges of message 1 (see
+``_decode_distribution``). Batches sample from it with one random stream
+per call, seeded by the channel: first the message counts, then each
+message's decoded counts in message order.
 
 Both are ``bases.ghz_family(n)``, n=3 and n=2. The label of message m is
 the readout its state gives; :mod:`ghzdense.ghzmeasure` lists the labels
@@ -205,37 +194,34 @@ def bell_measure(state: StateVector, rng_seed) -> tuple[int, float]:
     return _read_out(_BELL, _run_network(_BELL, state), rng_seed)
 
 
-def _pauli_tables(family: Protocol, channel: ChannelConfig) -> list[dict[str, float]]:
-    """The channel as one table per transit qubit, in transit order, giving
-    the weight of each Pauli (I, X, Y, Z) that qubit suffers on its own:
-    (1-p, p/3, p/3, p/3), or weight 1 on the forced error ("I" on a qubit
+def _pauli_tables(family: Protocol, channel: ChannelConfig) -> list[tuple[float, float, float, float]]:
+    """The channel as one row per transit qubit, in transit order, giving
+    the weights of the Paulis (I, X, Y, Z) that qubit suffers on its own:
+    (1-p, p/3, p/3, p/3), or one-hot on the forced error (on I for a qubit
     with none listed)."""
     if channel.forced_errors is None:
         p = channel.pauli_error_prob
-        return [{"I": 1.0 - p, **dict.fromkeys(_ERRORS, p / 3.0)} for _ in family.transit]
+        return [(1.0 - p, p / 3.0, p / 3.0, p / 3.0)] * len(family.transit)
     forced = dict(channel.forced_errors)
     for q in forced:
         if q not in family.transit:
             raise ValueError(f"forced error on qubit {_shown(q)}, but only qubits {family.transit} are in transit")
-    return [{g: float(g == forced.get(q, "I")) for g in ("I", *_ERRORS)} for q in family.transit]
+    return [tuple(float(g == forced.get(q, "I")) for g in ("I", *_ERRORS)) for q in family.transit]
 
 
 @cache
-def _exchange_inputs(family: Protocol) -> tuple[dict, np.ndarray, np.random.Generator]:
+def _exchange_inputs(family: Protocol) -> tuple[StateVector, tuple, np.ndarray, np.random.Generator]:
     """What ``_decode_distribution`` reads out for ``family``, none of it
-    depending on the channel: message 1's state under each error pattern
-    it exchanges (``()``, and ``((q, "X"),)`` and ``((q, "Z"),)`` for each
-    transit qubit q), the label of each message in message order, and one
-    readout stream. Built on first use, once per family, so importing the
-    package loads no ``numpy.random``."""
+    depending on the channel: message 1's state, for each transit qubit in
+    transit order the pair (that state with X on the qubit, with Z on it),
+    the label of each message in message order, and one readout stream.
+    Built on first use, once per family, so importing the package loads no
+    ``numpy.random``."""
     sent = family.catalog.state(1)
-    states = {(): sent}
-    for q in family.transit:
-        for g in ("X", "Z"):
-            states[((q, g),)] = apply_on_subset(sent, _NAMED_GATES[g], (q,))
+    pairs = tuple(tuple(apply_on_subset(sent, _NAMED_GATES[g], (q,)) for g in "XZ") for q in family.transit)
     labels = np.array([int(bits, 2) for bits in family.decode_table])
     labels.flags.writeable = False
-    return states, labels, _rng(0)  # outcomes are certain; the seed is irrelevant
+    return sent, pairs, labels, _rng(0)  # outcomes are certain; the seed is irrelevant
 
 
 def _decode_distribution(family: Protocol, channel: ChannelConfig) -> np.ndarray:
@@ -243,46 +229,48 @@ def _decode_distribution(family: Protocol, channel: ChannelConfig) -> np.ndarray
 
     The encoders are local Paulis and the network is Clifford, so a Pauli
     error maps each basis state to a basis state and XORs one bit syndrome
-    into every message's label. That map is a homomorphism: the syndrome
-    of a product of Paulis is the XOR of theirs, and Y = iXZ. The
-    exchanges start from catalog state 1, which is message 1's state: one
-    error-free exchange gives its label ``base``, and per transit qubit
-    one exchange gives X's syndrome x when X or Y has weight in its
-    table, and one gives Z's syndrome z when Z or Y has (else the
-    syndrome is not needed and stays 0). ``R[r]``, the probability that
-    message 1 reads out as the integer r, starts at ``base`` with weight
-    1; each transit qubit's table then folds in by XOR, ``R'[r] = sum of
-    w R[r XOR s]`` over its Paulis of nonzero weight w, in table order,
-    with s 0 for I, x for X, x XOR z for Y and z for Z (a term of weight 0
-    would only add 0.0). Every row is R relabelled:
-    ``C[m, j] = R[label(m) XOR label(j) XOR label(1)]``, labels read from
-    ``decode_table``'s keys, which are listed in message order.
+    into every message's label, the same for every message, and errors on
+    several qubits XOR their syndromes. That map is a homomorphism: the
+    syndrome of a product of Paulis is the XOR of theirs, and Y = iXZ. So
+    C is built from state-vector exchanges of message 1 (catalog state 1):
+    the error-free exchange gives its label ``base``, and per transit qubit
+    the exchange with X gives X's syndrome x when X or Y has weight in the
+    qubit's row of ``_pauli_tables``, and the one with Z gives Z's syndrome
+    z when Z or Y has (else the syndrome is not needed and stays 0). That
+    is 1 exchange at p = 0, 5 for ghz3 and 3 for bell2 at 0 < p < 1.
+    ``R[r]``, the probability that message 1 reads out as the integer r,
+    starts at ``base`` with weight 1; each transit qubit's row (I, X, Y, Z)
+    then folds in by XOR against the shifts (0, x, x XOR z, z):
+    ``R'[r] = sum of w R[r XOR s]`` over its terms of nonzero weight w, in
+    row order (a term of weight 0 would only add 0.0). Every row of C is R
+    relabelled: ``C[m, j] = R[label(m) XOR label(j) XOR label(1)]``, labels
+    read from ``decode_table``'s keys, which are listed in message order.
 
     The exchanges' inputs come from ``_exchange_inputs``, built once per
     family; every call reads out each exchange it needs anew, so the
     certainty check runs on every readout."""
-    states, labels, readout = _exchange_inputs(family)
+    sent, pairs, labels, readout = _exchange_inputs(family)
     # Called through the module-level names, so whatever is bound to them
     # (such as the span wrappers of perfbench/tracer.py) runs.
     measure = bell_measure if family is _BELL else ghz_measure
 
-    def label(*errors) -> int:
-        decoded, probability = measure(states[errors], readout)
+    def label(state: StateVector, what: str) -> int:
+        decoded, probability = measure(state, readout)
         if abs(probability - 1.0) > 1e-9:
             raise RuntimeError(
-                f"errors {errors} leave message 1 decoded as {decoded} only with "
+                f"{what} leaves message 1 decoded as {decoded} only with "
                 f"probability {probability}; the channel must map basis states to basis states"
             )
         return int(labels[decoded - 1])
 
-    base = label()
+    base = label(sent, "no error")
     readouts = np.arange(len(labels))
     row = (readouts == base).astype(float)  # R, message 1's distribution by readout
-    for q, table in zip(family.transit, _pauli_tables(family, channel)):
-        x = label((q, "X")) ^ base if table["X"] or table["Y"] else 0
-        z = label((q, "Z")) ^ base if table["Z"] or table["Y"] else 0
-        shifts = {"I": 0, "X": x, "Y": x ^ z, "Z": z}
-        row = sum(weight * row[readouts ^ shifts[g]] for g, weight in table.items() if weight)
+    for q, weights, (with_x, with_z) in zip(family.transit, _pauli_tables(family, channel), pairs):
+        _, wx, wy, wz = weights
+        x = label(with_x, f"X on qubit {q}") ^ base if wx or wy else 0
+        z = label(with_z, f"Z on qubit {q}") ^ base if wz or wy else 0
+        row = sum(w * row[readouts ^ s] for w, s in zip(weights, (0, x, x ^ z, z)) if w)
     return row[labels[:, None] ^ labels ^ labels[0]]
 
 

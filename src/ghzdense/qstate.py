@@ -19,13 +19,15 @@ amplitude of a unit vector and no entry of a unitary has a part above 1,
 so a larger part is rejected there, and so is a string, which numpy
 would parse as a number. A rejected integer of more than 20 digits, and
 rejected text of more than 60 characters, is echoed shortened
-(``_shown``). Integer text, a state file's counts and
-indices and the command line's state indices, is parsed by ``_decimal``
-alone: ASCII digits only. A parameter that holds one of the
-package's objects (``StateVector``, ``UnitaryMatrix``, ``BasisCatalog``,
-``ChannelConfig``, or the states of a catalog) is outside that contract:
-passing something else there raises whatever Python raises, usually
-``TypeError`` or ``AttributeError``.
+(``_shown``). Integer text, a state file's counts and indices and the
+command line's state indices and integer flags, is parsed by
+``_decimal`` alone: ASCII digits only. Real-number text, a state file's
+amplitudes and the command line's ``--noise``, is parsed by ``_real``
+alone: ASCII only, with no underscore or surrounding space. A parameter
+that holds one of the package's objects (``StateVector``,
+``UnitaryMatrix``, ``BasisCatalog``, ``ChannelConfig``, or the states of
+a catalog) is outside that contract: passing something else there raises
+whatever Python raises, usually ``TypeError`` or ``AttributeError``.
 """
 
 from __future__ import annotations
@@ -94,6 +96,16 @@ def _decimal(text: str, name: str, low: int, high: int) -> int:
     if len(digits) > _SHOWN_DIGITS:
         raise ValueError(f"{name} must lie in [{low}, {high}], got {_abbreviated(digits)}")
     return _checked(int(digits), name, low, high)
+
+
+def _real(text: str) -> float:
+    """``text`` as a float, the package's one parser of real-number text:
+    ASCII only, with no underscore or surrounding space, in Python's
+    ``float()`` grammar otherwise. Raises ``ValueError``; each caller
+    names the field in its own message."""
+    if not text.isascii() or "_" in text or text != text.strip():
+        raise ValueError(f"malformed real number {_shown(text)}")
+    return float(text)
 
 
 def _qubit_count(dim, name: str, max_qubits: int) -> int:
@@ -250,7 +262,7 @@ PAULI_Z = UnitaryMatrix([[1, 0], [0, -1]])
 HADAMARD = UnitaryMatrix(np.array([[1, 1], [1, -1]]) / np.sqrt(2.0))
 # Control is the first qubit of the pair the gate is applied to.
 CNOT = UnitaryMatrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
-# The names encoders, networks and error patterns use for the gates above.
+# The names encoders, networks and the decode row's errors use for the gates above.
 _NAMED_GATES = {"I": IDENTITY, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z, "H": HADAMARD, "CNOT": CNOT}
 
 
@@ -416,7 +428,7 @@ def load_state(text: str) -> StateVector:
             raise ValueError(f"expected 'index re im', got {_shown(ln)}")
         idx = _decimal(fields[0], f"amplitude index for {n} qubit(s)", 0, amps.shape[0] - 1)
         try:
-            amp = complex(float(fields[1]), float(fields[2]))
+            amp = complex(_real(fields[1]), _real(fields[2]))
         except ValueError:
             raise ValueError(f"malformed amplitude line {_shown(ln)}") from None
         if idx in seen:

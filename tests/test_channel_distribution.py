@@ -10,6 +10,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -260,17 +261,36 @@ def test_uncertain_readout_of_an_errored_state_is_an_error(monkeypatch):
         run_trials("ghz3", 10, ChannelConfig(pauli_error_prob=0.1))
 
 
+@pytest.mark.parametrize(
+    "channel, what",
+    [(ChannelConfig(pauli_error_prob=0.1), "X on qubit 1"), (ChannelConfig(forced_errors={2: "Z"}), "Z on qubit 2")],
+)
+def test_uncertain_readout_error_names_the_exchange(monkeypatch, channel, what):
+    clean = _encode(_family("ghz3"), 1).amplitudes
+
+    def measure(state, rng):
+        return ghz_measure(state, rng) if np.array_equal(state.amplitudes, clean) else (1, 0.5)
+
+    monkeypatch.setattr(protocol, "ghz_measure", measure)
+    message = (
+        f"{what} leaves message 1 decoded as 1 only with probability 0.5; "
+        "the channel must map basis states to basis states"
+    )
+    with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+        run_trials("ghz3", 10, channel)
+
+
 @pytest.mark.parametrize("name", PROTOCOL_NAMES)
 def test_exchange_inputs_are_the_errored_states_bit_for_bit(name):
     family = _family(name)
-    states, labels, _ = protocol._exchange_inputs(family)
+    state, pairs, labels, _ = protocol._exchange_inputs(family)
     sent = family.catalog.state(1)
     paulis = {"X": PAULI_X, "Z": PAULI_Z}
-    want = {((q, g),): apply_on_subset(sent, paulis[g], (q,)) for q in family.transit for g in "XZ"}
-    assert list(states) == [(), *want]
-    assert states[()] is sent
-    for errors, state in want.items():
-        assert states[errors].amplitudes.tobytes() == state.amplitudes.tobytes(), errors
+    want = [tuple(apply_on_subset(sent, paulis[g], (q,)) for g in "XZ") for q in family.transit]
+    assert len(pairs) == len(want) == len(family.transit)
+    assert state is sent
+    for q, pair, applied in zip(family.transit, pairs, want):
+        assert [s.amplitudes.tobytes() for s in pair] == [s.amplitudes.tobytes() for s in applied], q
     assert labels.tolist() == [int(bits, 2) for bits in family.decode_table]
     assert not labels.flags.writeable
 

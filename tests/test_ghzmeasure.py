@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 import ghzdense
 from conftest import kron_embed, random_state
 from ghzdense import ghzmeasure
-from ghzdense.bases import ghz_catalog, ghz_family, ghz_state
+from ghzdense.bases import bell_state, ghz_catalog, ghz_family, ghz_state
 from ghzdense.ghzmeasure import (
     DECODE_TABLE,
     GATE_SEQUENCE,
@@ -21,7 +21,7 @@ from ghzdense.ghzmeasure import (
     network_unitary,
     outcome_for_index,
 )
-from ghzdense.protocol import ChannelConfig, run_trials
+from ghzdense.protocol import BELL_DECODE_TABLE, ChannelConfig, bell_measure, run_trials
 from ghzdense.qstate import (
     CNOT,
     HADAMARD,
@@ -137,6 +137,18 @@ class TestDecodeTable:
         assert len(DECODE_TABLE) == 8
         for bits, idx in DECODE_TABLE.items():
             assert outcome_for_index(idx) == bits
+
+    @pytest.mark.parametrize("table", [DECODE_TABLE, BELL_DECODE_TABLE], ids=["ghz", "bell"])
+    def test_tables_are_read_only(self, table):
+        before = dict(table)
+        first = next(iter(table))
+        with pytest.raises(TypeError):
+            table[first] = 2
+        with pytest.raises(TypeError):
+            del table[first]
+        assert table == before
+        assert [decode(bits) for bits in DECODE_TABLE] == list(range(1, 9))
+        assert ghz_measure(ghz_state(1), 0)[0] == bell_measure(bell_state(1), 0)[0] == 1
 
     def test_table_rederivable_from_network(self):
         """The decode table is forced by the network itself: running each

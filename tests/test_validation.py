@@ -221,6 +221,16 @@ NAMED_REJECTIONS = {
         lambda: load_state("nqubits 1\n0 1 x\n"),
         "malformed amplitude line '0 1 x'",
     ),
+    # Real-number text is ASCII, with no underscore: float() alone would read these as 0, 1, 0.6+0.8i.
+    "load_state amplitude 0_0": (lambda: load_state("nqubits 1\n0 1 0_0\n"), "malformed amplitude line '0 1 0_0'"),
+    "load_state amplitude in Arabic-Indic digits": (
+        lambda: load_state("nqubits 1\n0 \u0661 0\n"),
+        "malformed amplitude line '0 \u0661 0'",
+    ),
+    "load_state amplitudes with Arabic-Indic decimals": (
+        lambda: load_state("nqubits 1\n1 \u0660.\u0666 \u0660.\u0668\n"),
+        "malformed amplitude line '1 \u0660.\u0666 \u0660.\u0668'",
+    ),
     "load_state line of four fields": (
         lambda: load_state("nqubits 1\n0 1 0 1\n"),
         "expected 'index re im', got '0 1 0 1'",
@@ -624,3 +634,12 @@ def test_integer_flags_read_ascii_digits_only(option, text):
     result = dispatch([text if word == "{}" else word for word in CLI_OPTIONS[option].split()])
     assert result.exit_code == 2
     assert result.stdout.splitlines()[-1].endswith(f": malformed {option.split('--')[1]} {text!r}")
+
+
+@pytest.mark.parametrize(
+    "text", ["0_1", "١", " 0.1 ", "٠.١"], ids=["underscore", "arabic-indic one", "spaces", "arabic-indic decimal"]
+)
+def test_noise_reads_ascii_text_only(text):
+    result = dispatch(["roundtrip", "--protocol", "bell2", "--noise", text])
+    assert result.exit_code == 2
+    assert result.stdout.splitlines()[-1].endswith(f": invalid float value: {text!r}")
