@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 1 when a verification command finds a tolerance
-violation, 2 on usage or input errors. Report-producing commands accept
+violation, 2 on usage or input errors; a command whose reader has gone
+prints nothing more and keeps its exit code. Report-producing commands accept
 ``--json``; textual numeric output uses 12 significant digits. Seeded
 commands default to seed 0 so bare invocations are reproducible.
 """
@@ -10,16 +11,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict, dataclass
-from pathlib import Path
 from collections.abc import Sequence
 
 from .bases import _CATALOGS, BasisCatalog, catalog_by_name, ghz_catalog, verify_orthonormal
 from .encoding import _ORACLE_SAMPLES, encode, reachability_matrix, reachability_oracle_matrix
 from .ghzmeasure import DECODE_TABLE, GATE_SEQUENCE, disentangle
 from .protocol import PROTOCOL_NAMES, ChannelConfig, _family, capacity_summary, run_trials
-from .qstate import ATOL, _decimal, _real, _shown, dump_state, load_state
+from .qstate import _MAX_STATE_CHARS, ATOL, _decimal, _real, _shown, dump_state, load_state
 
 _INDEX_PREFIX = {"ghz": "psi", "phi": "phi", "bell": "bell"}
 
@@ -178,7 +179,10 @@ def _cmd_network_show(args) -> CommandResult:
 
 
 def _cmd_network_apply(args) -> CommandResult:
-    text = Path(args.state_file).read_text()
+    with open(args.state_file) as file:
+        text = file.read(_MAX_STATE_CHARS + 1)
+    if len(text) > _MAX_STATE_CHARS:
+        raise ValueError(f"state file is longer than {_MAX_STATE_CHARS} characters")
     state = load_state(text)
     return CommandResult(0, dump_state(disentangle(state)).rstrip("\n"))
 
@@ -279,6 +283,14 @@ def dispatch(argv: Sequence[str]) -> CommandResult:
 
 def main(argv: Sequence[str] | None = None) -> None:
     result = dispatch(sys.argv[1:] if argv is None else argv)
-    if result.stdout:
-        print(result.stdout, file=sys.stderr if result.exit_code == 2 else sys.stdout)
+    stream = sys.stderr if result.exit_code == 2 else sys.stdout
+    try:
+        if result.stdout:
+            print(result.stdout, file=stream)
+        stream.flush()
+    except BrokenPipeError:
+        # The reader has gone. Python flushes the stream again at exit, so
+        # point it at devnull, as Python's SIGPIPE note does, and keep the
+        # command's own exit code.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
     raise SystemExit(result.exit_code)

@@ -11,9 +11,10 @@ commute; their listed order is a convention, not a requirement. After
 the network, three ordinary single-qubit readouts plus a classical table
 lookup recover the GHZ index.
 
-The gate list defines the network. It runs as one operator per family,
-built from that list on first use and then applied to each state by one
-matrix product.
+The gate list defines the network. It runs as one operator per family:
+on first use its gates, each embedded by ``qstate.embed_on_subset``, are
+multiplied into one matrix, which is then applied to each state by one
+product.
 
 Network and table are ``bases.ghz_family(3)``'s; the n=2 case, CNOT(1,2)
 then H(1), is the Bell protocol's. One rule decodes both: the sign bit (0
@@ -27,12 +28,12 @@ Indices may be Python or numpy integers; anything else is a ValueError.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, reduce
 
 import numpy as np
 
 from .bases import Protocol, ghz_family
-from .qstate import _NAMED_GATES, StateVector, UnitaryMatrix, _checked, _operator, _shown, apply_on_subset
+from .qstate import _NAMED_GATES, StateVector, UnitaryMatrix, _checked, _shown, embed_on_subset
 from .qstate import measure_computational
 
 _GHZ = ghz_family(3)
@@ -46,15 +47,12 @@ DECODE_TABLE = _GHZ.decode_table
 @cache
 def _network_operator(family: Protocol) -> UnitaryMatrix:
     """``family``'s network as one 2^n x 2^n operator, the owner of the
-    network matrix: column j is its gates applied one by one to ket j.
+    network matrix: the product of its gates embedded by
+    :func:`~ghzdense.qstate.embed_on_subset`, the last gate leftmost.
     Built on first use, once per family (``Protocol`` hashes by identity)."""
-
-    def gates(state: StateVector) -> StateVector:
-        for name, qubits in family.network:
-            state = apply_on_subset(state, _NAMED_GATES[name], qubits)
-        return state
-
-    return _operator(gates, family.catalog.n_qubits)
+    n = family.catalog.n_qubits
+    gates = [embed_on_subset(_NAMED_GATES[name], qubits, n).entries for name, qubits in family.network]
+    return UnitaryMatrix(reduce(lambda product, gate: gate @ product, gates))
 
 
 def _run_network(family: Protocol, state: StateVector) -> StateVector:
@@ -78,8 +76,8 @@ def disentangle(state: StateVector) -> StateVector:
 
 
 def network_unitary() -> UnitaryMatrix:
-    """The whole network as one 8x8 operator: column j is the gate sequence
-    run on ket j. Every call returns the same read-only matrix."""
+    """The whole network as one 8x8 operator, the product of the gate
+    sequence's embedded gates. Every call returns the same read-only matrix."""
     return _network_operator(_GHZ)
 
 

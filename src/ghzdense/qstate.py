@@ -335,24 +335,14 @@ def apply_on_subset(state: StateVector, u: UnitaryMatrix, qubits: Sequence[int])
     return StateVector._from_unitary_output(out.reshape(state.dim))
 
 
-def _operator(state_map, n_qubits: int) -> UnitaryMatrix:
-    """The 2^n x 2^n matrix whose column j is ``state_map`` applied to
-    computational ket j. Built column by column, so it is only meant for
-    small registers: ``n_qubits`` above ``_MAX_OPERATOR_QUBITS`` is a
-    ``ValueError``."""
-    dim = 1 << _checked(n_qubits, "n_qubits", 1, _MAX_OPERATOR_QUBITS)
-    full = np.empty((dim, dim), dtype=np.complex128)
-    for col in range(dim):
-        e = np.zeros(dim, dtype=np.complex128)
-        e[col] = 1.0
-        full[:, col] = state_map(StateVector(e)).amplitudes
-    return UnitaryMatrix(full)
-
-
 def embed_on_subset(u: UnitaryMatrix, qubits: Sequence[int], n_qubits: int) -> UnitaryMatrix:
     """Full 2^n x 2^n matrix acting as ``u`` on ``qubits`` and identity
-    elsewhere; only meant for small registers, at most 10 qubits."""
-    return _operator(lambda ket: apply_on_subset(ket, u, qubits), n_qubits)
+    elsewhere: column j is :func:`apply_on_subset` of ``u`` on computational
+    ket j, the kets read from the identity matrix. Built column by
+    column, so it is only meant for small registers: ``n_qubits`` above
+    ``_MAX_OPERATOR_QUBITS`` (10) is a ``ValueError``, checked first."""
+    kets = np.eye(1 << _checked(n_qubits, "n_qubits", 1, _MAX_OPERATOR_QUBITS), dtype=np.complex128)
+    return UnitaryMatrix(np.column_stack([apply_on_subset(StateVector(e), u, qubits).amplitudes for e in kets]))
 
 
 def measure_computational(state: StateVector, rng_seed) -> tuple[str, float]:
@@ -400,6 +390,12 @@ def dump_state(state: StateVector) -> str:
         if amp != 0:
             lines.append(f"{idx} {float(amp.real)!r} {float(amp.imag)!r}")
     return "\n".join(lines) + "\n"
+
+
+# Longest state text a reader takes: dump_state writes at most 11 + 58 * 2^20
+# characters (about 58 MiB) at MAX_QUBITS, and a longer file is rejected
+# before it is parsed.
+_MAX_STATE_CHARS = 64 << 20
 
 
 def load_state(text: str) -> StateVector:

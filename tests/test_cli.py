@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import ghzdense
+from ghzdense import cli
 from ghzdense.bases import _CATALOGS, bell_catalog, ghz_state, phi_catalog
 from ghzdense.cli import CommandResult, _fmt, dispatch, main
 from ghzdense.encoding import reachability_matrix, reachability_oracle_matrix
@@ -209,6 +215,17 @@ class TestNetworkCommands:
         path.write_text("nqubits 3\n0 0.5 0\n")
         assert dispatch(["network", "apply", "--state-file", str(path)]).exit_code == 2
 
+    def test_apply_reads_at_most_the_state_text_bound(self, tmp_path, monkeypatch):
+        text = dump_state(ghz_state(6))
+        monkeypatch.setattr(cli, "_MAX_STATE_CHARS", len(text))
+        path = tmp_path / "state.txt"
+        path.write_text(text)
+        assert dispatch(["network", "apply", "--state-file", str(path)]).exit_code == 0
+        path.write_text(text + "\n")
+        result = dispatch(["network", "apply", "--state-file", str(path)])
+        assert result.exit_code == 2
+        assert f"longer than {len(text)} characters" in result.stdout
+
 
 class TestRoundtripCommand:
     def test_json_report(self):
@@ -307,3 +324,29 @@ class TestDispatchPlumbing:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error" in captured.err
+
+    @staticmethod
+    def _run_with_closed(stream: str, args: list[str]) -> subprocess.CompletedProcess:
+        """``python -m ghzdense args`` with ``stream``'s pipe closed before
+        the command starts, the other stream captured."""
+        read, write = os.pipe()
+        os.close(read)
+        env = {**os.environ, "PYTHONPATH": str(Path(ghzdense.__file__).resolve().parents[1])}
+        other = "stderr" if stream == "stdout" else "stdout"
+        try:
+            return subprocess.run(
+                [sys.executable, "-W", "error", "-m", "ghzdense", *args],
+                **{stream: write, other: subprocess.PIPE},
+                env=env,
+                timeout=60,
+            )
+        finally:
+            os.close(write)
+
+    def test_main_keeps_its_exit_code_when_stdout_is_closed(self):
+        out = self._run_with_closed("stdout", ["roundtrip", "--protocol", "ghz3", "--json"])
+        assert (out.returncode, out.stderr) == (0, b"")
+
+    def test_main_keeps_its_exit_code_when_stderr_is_closed(self):
+        out = self._run_with_closed("stderr", ["encode", "--message", "12"])
+        assert (out.returncode, out.stdout) == (2, b"")

@@ -53,13 +53,18 @@ class TestNetworkStructure:
     def test_network_unitary_matches_composed_oracle(self):
         assert_allclose(network_unitary().entries, _composed_oracle(), atol=1e-12)
 
-    def test_network_unitary_equals_the_embedded_gate_product(self):
-        # The gate-by-gate product of embedded matrices that network_unitary
-        # must reproduce bit for bit.
-        composite = np.eye(8, dtype=np.complex128)
-        for gate, qubits in ((CNOT, (1, 3)), (CNOT, (1, 2)), (HADAMARD, (1,))):
-            composite = embed_on_subset(gate, qubits, 3).entries @ composite
-        assert np.array_equal(network_unitary().entries, composite)
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_network_unitary_equals_the_embedded_gate_product(self, n):
+        # The gate-by-gate product of embedded matrices that each family's
+        # network must reproduce entry for entry.
+        network = {
+            2: ((CNOT, (1, 2)), (HADAMARD, (1,))),
+            3: ((CNOT, (1, 3)), (CNOT, (1, 2)), (HADAMARD, (1,))),
+        }[n]
+        composite = np.eye(1 << n, dtype=np.complex128)
+        for gate, qubits in network:
+            composite = embed_on_subset(gate, qubits, n).entries @ composite
+        assert np.array_equal(ghzmeasure._network_operator(ghz_family(n)).entries, composite)
 
     def test_cnot_order_is_interchangeable(self):
         """The two controlled-NOTs share a control and have disjoint
@@ -237,14 +242,7 @@ class TestNetworkOperator:
             if n == 3:
                 assert_allclose(disentangle(state).amplitudes, want, rtol=0, atol=1e-15)
 
-    def test_each_family_is_built_at_most_once(self, monkeypatch):
-        built, operator = [], ghzmeasure._operator
-
-        def counting(state_map, n_qubits):
-            built.append(n_qubits)
-            return operator(state_map, n_qubits)
-
-        monkeypatch.setattr(ghzmeasure, "_operator", counting)
+    def test_each_family_is_built_at_most_once(self):
         ghzmeasure._network_operator.cache_clear()
         try:
             for _ in range(2):
@@ -252,9 +250,11 @@ class TestNetworkOperator:
                 run_trials("bell2", 100, ChannelConfig(0.1, 3))
             disentangle(ghz_state(2))
             network_unitary()
+            info = ghzmeasure._network_operator.cache_info()
         finally:
             ghzmeasure._network_operator.cache_clear()
-        assert sorted(built) == [2, 3]
+        # One miss, and so one build, for each of the two families.
+        assert (info.misses, info.currsize) == (2, 2)
 
     def test_network_unitary_is_one_shared_read_only_matrix(self):
         assert network_unitary() is network_unitary()
