@@ -176,6 +176,7 @@ class CapacityRow:
     bits_per_transmitted_qubit: float
 
 
+@cache
 def _capacity(family: Protocol) -> CapacityRow:
     k, q = len(family.catalog), len(family.transit)
     return CapacityRow(family.name, k, q, math.log2(k), math.log2(k) / q)
@@ -210,18 +211,21 @@ def _pauli_tables(family: Protocol, channel: ChannelConfig) -> list[tuple[float,
 
 
 @cache
-def _exchange_inputs(family: Protocol) -> tuple[StateVector, tuple, np.ndarray, np.random.Generator]:
+def _exchange_inputs(family: Protocol) -> tuple[StateVector, tuple, np.ndarray, np.ndarray, np.random.Generator]:
     """What ``_decode_distribution`` reads out for ``family``, none of it
     depending on the channel: message 1's state, for each transit qubit in
     transit order the pair (that state with X on the qubit, with Z on it),
-    the label of each message in message order, and one readout stream.
-    Built on first use, once per family, so importing the package loads no
-    ``numpy.random``."""
+    the label of each message in message order, the relabel index
+    ``labels[:, None] ^ labels ^ labels[0]`` that spreads message 1's row
+    into every row, and one readout stream. Built on first use, once per
+    family, so importing the package loads no ``numpy.random``; both arrays
+    are read-only."""
     sent = family.catalog.state(1)
     pairs = tuple(tuple(apply_on_subset(sent, _NAMED_GATES[g], (q,)) for g in "XZ") for q in family.transit)
     labels = np.array([int(bits, 2) for bits in family.decode_table])
-    labels.flags.writeable = False
-    return sent, pairs, labels, _rng(0)  # outcomes are certain; the seed is irrelevant
+    relabel = labels[:, None] ^ labels ^ labels[0]
+    labels.flags.writeable = relabel.flags.writeable = False
+    return sent, pairs, labels, relabel, _rng(0)  # outcomes are certain; the seed is irrelevant
 
 
 def _decode_distribution(family: Protocol, channel: ChannelConfig) -> np.ndarray:
@@ -241,15 +245,18 @@ def _decode_distribution(family: Protocol, channel: ChannelConfig) -> np.ndarray
     ``R[r]``, the probability that message 1 reads out as the integer r,
     starts at ``base`` with weight 1; each transit qubit's row (I, X, Y, Z)
     then folds in by XOR against the shifts (0, x, x XOR z, z):
-    ``R'[r] = sum of w R[r XOR s]`` over its terms of nonzero weight w, in
-    row order (a term of weight 0 would only add 0.0). Every row of C is R
-    relabelled: ``C[m, j] = R[label(m) XOR label(j) XOR label(1)]``, labels
-    read from ``decode_table``'s keys, which are listed in message order.
+    ``R'[r] = sum of w R[r XOR s]`` over its terms of nonzero weight w,
+    added left to right from 0 in row order (a term of weight 0 would only
+    add 0.0). R holds at most 8 entries, so it is folded as a list of
+    Python floats and becomes an array once, at the end. Every row of C is
+    R relabelled: ``C[m, j] = R[label(m) XOR label(j) XOR label(1)]``,
+    labels read from ``decode_table``'s keys, which are listed in message
+    order.
 
-    The exchanges' inputs come from ``_exchange_inputs``, built once per
-    family; every call reads out each exchange it needs anew, so the
-    certainty check runs on every readout."""
-    sent, pairs, labels, readout = _exchange_inputs(family)
+    The exchanges' inputs and the relabel index come from
+    ``_exchange_inputs``, built once per family; every call reads out each
+    exchange it needs anew, so the certainty check runs on every readout."""
+    sent, pairs, labels, relabel, readout = _exchange_inputs(family)
     # Called through the module-level names, so whatever is bound to them
     # (such as the span wrappers of perfbench/tracer.py) runs.
     measure = bell_measure if family is _BELL else ghz_measure
@@ -264,14 +271,29 @@ def _decode_distribution(family: Protocol, channel: ChannelConfig) -> np.ndarray
         return int(labels[decoded - 1])
 
     base = label(sent, "no error")
-    readouts = np.arange(len(labels))
-    row = (readouts == base).astype(float)  # R, message 1's distribution by readout
+    readouts = range(len(labels))
+    row = [0.0] * len(labels)  # R, message 1's distribution by readout
+    row[base] = 1.0
     for q, weights, (with_x, with_z) in zip(family.transit, _pauli_tables(family, channel), pairs):
         _, wx, wy, wz = weights
         x = label(with_x, f"X on qubit {q}") ^ base if wx or wy else 0
         z = label(with_z, f"Z on qubit {q}") ^ base if wz or wy else 0
-        row = sum(w * row[readouts ^ s] for w, s in zip(weights, (0, x, x ^ z, z)) if w)
-    return row[labels[:, None] ^ labels ^ labels[0]]
+        folded = [0.0] * len(labels)
+        for w, s in zip(weights, (0, x, x ^ z, z)):
+            if w:
+                for r in readouts:
+                    folded[r] += w * row[r ^ s]
+        row = folded
+    return np.array(row)[relabel]
+
+
+@cache
+def _uniform_prior(k: int) -> np.ndarray:
+    """1/k for each of k messages, as a read-only array: numpy's
+    multinomial reads it faster than a list of the same floats."""
+    prior = np.full(k, 1.0 / k)
+    prior.flags.writeable = False
+    return prior
 
 
 def _one_exchange(protocol: str, message: int, channel: ChannelConfig) -> tuple[int, bool]:
@@ -312,11 +334,11 @@ def run_trials(
     dist = _decode_distribution(family, channel)
     rng = _rng(channel.rng_seed)
     if fixed_message is None:
-        sent = rng.multinomial(trials, [1.0 / k] * k)
+        sent = rng.multinomial(trials, _uniform_prior(k))
     else:
         sent = trials * np.eye(k, dtype=np.int64)[_checked(fixed_message, "fixed message", 1, k) - 1]
     counts = rng.multinomial(sent, dist)  # row m draws message m's decoded counts
-    successes = int(np.trace(counts))
+    successes = int(counts.trace())
     return TrialReport(
         protocol=protocol,
         trials=trials,

@@ -363,8 +363,8 @@ def measure_computational(state: StateVector, rng_seed) -> tuple[str, float]:
         The outcome as a bit string (qubit 1 first) and its probability.
     """
     probs = state.probabilities()
-    cdf = np.cumsum(probs)
-    idx = int(np.searchsorted(cdf, _rng(rng_seed).random() * cdf[-1], side="right"))
+    cdf = probs.cumsum()
+    idx = int(cdf.searchsorted(_rng(rng_seed).random() * cdf[-1], side="right"))
     idx = min(idx, state.dim - 1)
     return format(idx, f"0{state.n_qubits}b"), float(probs[idx])
 

@@ -20,7 +20,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import ghzdense
-from ghzdense import cli, protocol
+from ghzdense import cli, ghzmeasure, protocol
 from ghzdense.encoding import _encode
 from ghzdense.ghzmeasure import ghz_measure
 from ghzdense.protocol import (
@@ -105,6 +105,34 @@ def _per_pattern_reference(family, channel: ChannelConfig) -> np.ndarray:
         decoded, probability = measure(state, 0)
         assert probability == pytest.approx(1.0, abs=1e-9)
         row[labels[decoded - 1]] += weight
+    return row[labels[:, None] ^ labels ^ labels[0]]
+
+
+def _syndromes(family) -> tuple[int, list[tuple[int, int]]]:
+    """Message 1's error-free readout label, and for each transit qubit in
+    transit order the syndromes (x, z) that X and Z on it XOR into it."""
+    paulis = {"X": PAULI_X, "Z": PAULI_Z}
+    measure = protocol.bell_measure if family.name == "bell2" else ghz_measure
+    labels = [int(bits, 2) for bits in family.decode_table]
+    sent = _encode(family, 1)
+
+    def label(state):
+        return labels[measure(state, 0)[0] - 1]
+
+    base = label(sent)
+    return base, [tuple(label(apply_on_subset(sent, paulis[g], (q,))) ^ base for g in "XZ") for q in family.transit]
+
+
+def _array_fold(family, channel: ChannelConfig, base: int, syndromes) -> np.ndarray:
+    """The decode distribution folded as numpy arrays: each transit qubit's
+    row of ``_pauli_tables`` adds ``w * R[readouts ^ s]`` over its terms of
+    nonzero weight, left to right from 0, then R is relabelled into every
+    row by XOR."""
+    labels = np.array([int(bits, 2) for bits in family.decode_table])
+    readouts = np.arange(len(labels))
+    row = (readouts == base).astype(float)
+    for weights, (x, z) in zip(protocol._pauli_tables(family, channel), syndromes):
+        row = sum(w * row[readouts ^ s] for w, s in zip(weights, (0, x, x ^ z, z)) if w)
     return row[labels[:, None] ^ labels ^ labels[0]]
 
 
@@ -211,6 +239,22 @@ def test_generator_build_equals_one_exchange_per_pattern_at_any_p(name):
     check()
 
 
+@pytest.mark.parametrize("name", PROTOCOL_NAMES)
+def test_float_fold_equals_the_array_fold_bit_for_bit(name):
+    """Same products, added in the same order: on 2017 values of p, the
+    two smallest positive ones and every forced pattern, the decode
+    distribution holds exactly the floats of the array fold."""
+    family = _family(name)
+    base, syndromes = _syndromes(family)
+    grid = [*np.linspace(0.0, 1.0, 2017).tolist(), 5e-324, 1e-300]
+    channels = [ChannelConfig(pauli_error_prob=p) for p in grid]
+    channels += [ChannelConfig(forced_errors=errors) for errors in _patterns(family)]
+    assert len(channels) == 2019 + 4 ** len(family.transit)
+    for channel in channels:
+        want = _array_fold(family, channel, base, syndromes)
+        assert np.array_equal(_decode_distribution(family, channel), want), channel
+
+
 @pytest.fixture
 def exchanges(monkeypatch) -> list[str]:
     """The measurements ``protocol`` makes, by name, in call order."""
@@ -234,13 +278,22 @@ def exchanges(monkeypatch) -> list[str]:
         ("bell2", ChannelConfig(forced_errors={1: "Y"}), 3),
         ("ghz3", ChannelConfig(pauli_error_prob=1.0), 5),
         ("bell2", ChannelConfig(pauli_error_prob=1.0), 3),
+        ("ghz3", ChannelConfig(pauli_error_prob=0.0), 1),
+        ("ghz3", ChannelConfig(pauli_error_prob=0.1), 5),
+        ("bell2", ChannelConfig(pauli_error_prob=0.0), 1),
+        ("bell2", ChannelConfig(pauli_error_prob=0.3), 3),
     ],
 )
-def test_exchange_counts(exchanges, name, channel, count):
+def test_exchange_counts(exchanges, monkeypatch, name, channel, count):
     """1 error-free, plus 1 per X or Z error on each transit qubit that has
-    weight in the channel; Y takes both."""
+    weight in the channel; Y takes both. Each exchange is one computational
+    readout, also on a warm call."""
     run_trials(name, 1_000, channel)
-    assert exchanges == ["bell_measure" if name == "bell2" else "ghz_measure"] * count
+    readouts, real = [], ghzmeasure.measure_computational
+    monkeypatch.setattr(ghzmeasure, "measure_computational", lambda *a: readouts.append(a) or real(*a))
+    run_trials(name, 1_000, channel)
+    assert exchanges == ["bell_measure" if name == "bell2" else "ghz_measure"] * (2 * count)
+    assert len(readouts) == count
 
 
 def test_uncertain_readout_is_an_error(monkeypatch):
@@ -283,7 +336,7 @@ def test_uncertain_readout_error_names_the_exchange(monkeypatch, channel, what):
 @pytest.mark.parametrize("name", PROTOCOL_NAMES)
 def test_exchange_inputs_are_the_errored_states_bit_for_bit(name):
     family = _family(name)
-    state, pairs, labels, _ = protocol._exchange_inputs(family)
+    state, pairs, labels, relabel, _ = protocol._exchange_inputs(family)
     sent = family.catalog.state(1)
     paulis = {"X": PAULI_X, "Z": PAULI_Z}
     want = [tuple(apply_on_subset(sent, paulis[g], (q,)) for g in "XZ") for q in family.transit]
@@ -293,6 +346,8 @@ def test_exchange_inputs_are_the_errored_states_bit_for_bit(name):
         assert [s.amplitudes.tobytes() for s in pair] == [s.amplitudes.tobytes() for s in applied], q
     assert labels.tolist() == [int(bits, 2) for bits in family.decode_table]
     assert not labels.flags.writeable
+    assert_array_equal(relabel, labels[:, None] ^ labels ^ labels[0])
+    assert not relabel.flags.writeable
 
 
 def test_exchange_inputs_are_built_once_per_family(monkeypatch):

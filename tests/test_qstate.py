@@ -300,6 +300,33 @@ class TestMeasureComputational:
         seen = {measure_computational(state, seed)[0] for seed in range(300)}
         assert seen == {"00", "11"}
 
+    @staticmethod
+    def _sampled(state, u):
+        """The sampling rule: the first index whose cumulative probability
+        exceeds ``u`` times the total, capped at the last index."""
+        p = state.probabilities()
+        cdf = np.cumsum(p)
+        idx = min(int(np.searchsorted(cdf, u * cdf[-1], side="right")), state.dim - 1)
+        return format(idx, f"0{state.n_qubits}b"), float(p[idx])
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_outcome_is_the_first_uniform_through_the_cdf(self, n):
+        rng = np.random.default_rng(40 + n)
+        for seed in range(20):
+            state = random_state(rng, n)
+            u = np.random.default_rng(seed).random()
+            assert measure_computational(state, seed) == self._sampled(state, u)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_a_passed_generator_gives_one_uniform_per_call(self, n):
+        state = random_state(np.random.default_rng(50 + n), n)
+        reference = np.random.default_rng(n)
+        first, second = reference.random(), reference.random()
+        stream = np.random.default_rng(n)
+        assert measure_computational(state, stream) == self._sampled(state, first)
+        assert measure_computational(state, stream) == self._sampled(state, second)
+        assert stream.random() == reference.random()
+
 
 class TestHaarRandomUnitary:
     def test_deterministic_given_seed(self):
