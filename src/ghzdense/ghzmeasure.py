@@ -23,6 +23,18 @@ for '+'), then the tail of the first ket. Readouts of messages 1, 2, ...::
     ghz3   000 100 011 111 010 110 001 101
     bell2  00  10  01  11
 
+A Pauli error before the network only relabels the readout. The network
+and every Pauli are Clifford, so each error XORs a fixed bit pattern, its
+syndrome, into the readout of every basis state (the stabilizer
+formalism: Gottesman, quant-ph/9705052, 1997; Aaronson & Gottesman, PRA
+70:052328, 2004). ``_syndromes`` gives them in closed form for an n-qubit
+family, with the readout read as an integer, sign bit first:
+
+* Z on any qubit flips the sign, since it anticommutes with X^n: 2^(n-1);
+* X on qubit 1 swaps the two kets, which flips the whole tail: 2^(n-1) - 1;
+* X on qubit q >= 2 flips tail bit q: 2^(n-q);
+* Y = iXZ gives the XOR of X's and Z's.
+
 Indices may be Python or numpy integers; anything else is a ValueError.
 """
 
@@ -53,6 +65,13 @@ def _network_operator(family: Protocol) -> UnitaryMatrix:
     n = family.catalog.n_qubits
     gates = [embed_on_subset(_NAMED_GATES[name], qubits, n).entries for name, qubits in family.network]
     return UnitaryMatrix(reduce(lambda product, gate: gate @ product, gates))
+
+
+def _syndromes(n: int, qubit: int) -> tuple[int, int]:
+    """The syndromes (x, z) that X and Z on ``qubit`` XOR into the readout
+    of an n-qubit family, sign bit first (see the module docstring)."""
+    sign = 1 << (n - 1)
+    return (sign - 1 if qubit == 1 else 1 << (n - qubit)), sign
 
 
 def _run_network(family: Protocol, state: StateVector) -> StateVector:

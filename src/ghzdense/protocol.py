@@ -12,10 +12,11 @@ Noise model: while a qubit is in transit it suffers, with probability p,
 one Pauli error (X, Y or Z, each with probability p/3). Only qubits in
 transit are exposed; the receiver's qubit is ideal. Every Pauli maps
 basis states to basis states, so the decode distribution is exact; it is
-built from a few state-vector exchanges of message 1 (see
-``_decode_distribution``). Batches sample from it with one random stream
-per call, seeded by the channel: first the message counts, then each
-message's decoded counts in message order.
+built from one state-vector exchange of message 1 and the closed-form
+syndromes of ``ghzmeasure._syndromes`` (see ``_decode_distribution``).
+Batches sample from it with one random stream per call, seeded by the
+channel: first the message counts, then each message's decoded counts in
+message order.
 
 Both are ``bases.ghz_family(n)``, n=3 and n=2. The label of message m is
 the readout its state gives; :mod:`ghzdense.ghzmeasure` lists the labels
@@ -36,8 +37,8 @@ from functools import cache
 import numpy as np
 
 from .bases import Protocol, ghz_family
-from .ghzmeasure import _read_out, _run_network, ghz_measure
-from .qstate import _NAMED_GATES, StateVector, _checked, _rng, _shown, apply_on_subset
+from .ghzmeasure import _read_out, _run_network, _syndromes, ghz_measure
+from .qstate import StateVector, _checked, _rng, _shown
 
 _BELL = ghz_family(2)
 _BY_NAME = {family.name: family for family in (ghz_family(3), _BELL)}
@@ -212,20 +213,19 @@ def _pauli_tables(family: Protocol, channel: ChannelConfig) -> list[tuple[float,
 
 @cache
 def _exchange_inputs(family: Protocol) -> tuple[StateVector, tuple, np.ndarray, np.ndarray, np.random.Generator]:
-    """What ``_decode_distribution`` reads out for ``family``, none of it
+    """What ``_decode_distribution`` reads for ``family``, none of it
     depending on the channel: message 1's state, for each transit qubit in
-    transit order the pair (that state with X on the qubit, with Z on it),
-    the label of each message in message order, the relabel index
+    transit order its syndromes (x, z) from ``ghzmeasure._syndromes``, the
+    label of each message in message order, the relabel index
     ``labels[:, None] ^ labels ^ labels[0]`` that spreads message 1's row
     into every row, and one readout stream. Built on first use, once per
     family, so importing the package loads no ``numpy.random``; both arrays
     are read-only."""
-    sent = family.catalog.state(1)
-    pairs = tuple(tuple(apply_on_subset(sent, _NAMED_GATES[g], (q,)) for g in "XZ") for q in family.transit)
+    syndromes = tuple(_syndromes(family.catalog.n_qubits, q) for q in family.transit)
     labels = np.array([int(bits, 2) for bits in family.decode_table])
     relabel = labels[:, None] ^ labels ^ labels[0]
     labels.flags.writeable = relabel.flags.writeable = False
-    return sent, pairs, labels, relabel, _rng(0)  # outcomes are certain; the seed is irrelevant
+    return family.catalog.state(1), syndromes, labels, relabel, _rng(0)  # outcomes are certain; the seed is irrelevant
 
 
 def _decode_distribution(family: Protocol, channel: ChannelConfig) -> np.ndarray:
@@ -236,48 +236,38 @@ def _decode_distribution(family: Protocol, channel: ChannelConfig) -> np.ndarray
     into every message's label, the same for every message, and errors on
     several qubits XOR their syndromes. That map is a homomorphism: the
     syndrome of a product of Paulis is the XOR of theirs, and Y = iXZ. So
-    C is built from state-vector exchanges of message 1 (catalog state 1):
-    the error-free exchange gives its label ``base``, and per transit qubit
-    the exchange with X gives X's syndrome x when X or Y has weight in the
-    qubit's row of ``_pauli_tables``, and the one with Z gives Z's syndrome
-    z when Z or Y has (else the syndrome is not needed and stays 0). That
-    is 1 exchange at p = 0, 5 for ghz3 and 3 for bell2 at 0 < p < 1.
-    ``R[r]``, the probability that message 1 reads out as the integer r,
-    starts at ``base`` with weight 1; each transit qubit's row (I, X, Y, Z)
-    then folds in by XOR against the shifts (0, x, x XOR z, z):
-    ``R'[r] = sum of w R[r XOR s]`` over its terms of nonzero weight w,
-    added left to right from 0 in row order (a term of weight 0 would only
-    add 0.0). R holds at most 8 entries, so it is folded as a list of
-    Python floats and becomes an array once, at the end. Every row of C is
-    R relabelled: ``C[m, j] = R[label(m) XOR label(j) XOR label(1)]``,
-    labels read from ``decode_table``'s keys, which are listed in message
-    order.
+    C is built from one state-vector exchange, the error-free one of
+    message 1 (catalog state 1), which gives its label ``base``, and from
+    each transit qubit's syndromes x (of X) and z (of Z), which
+    ``ghzmeasure._syndromes`` gives in closed form. ``R[r]``, the
+    probability that message 1 reads out as the integer r, starts at
+    ``base`` with weight 1; each transit qubit's row (I, X, Y, Z) of
+    ``_pauli_tables`` then folds in by XOR against the shifts
+    (0, x, x XOR z, z): ``R'[r] = sum of w R[r XOR s]`` over its terms of
+    nonzero weight w, added left to right from 0 in row order (a term of
+    weight 0 would only add 0.0). R holds at most 8 entries, so it is
+    folded as a list of Python floats and becomes an array once, at the
+    end. Every row of C is R relabelled:
+    ``C[m, j] = R[label(m) XOR label(j) XOR label(1)]``, labels read from
+    ``decode_table``'s keys, which are listed in message order.
 
-    The exchanges' inputs and the relabel index come from
-    ``_exchange_inputs``, built once per family; every call reads out each
-    exchange it needs anew, so the certainty check runs on every readout."""
-    sent, pairs, labels, relabel, readout = _exchange_inputs(family)
+    The syndromes and the relabel index come from ``_exchange_inputs``,
+    built once per family; every call reads out the error-free exchange
+    anew, so the certainty check runs on every call."""
+    sent, syndromes, labels, relabel, readout = _exchange_inputs(family)
     # Called through the module-level names, so whatever is bound to them
     # (such as the span wrappers of perfbench/tracer.py) runs.
     measure = bell_measure if family is _BELL else ghz_measure
-
-    def label(state: StateVector, what: str) -> int:
-        decoded, probability = measure(state, readout)
-        if abs(probability - 1.0) > 1e-9:
-            raise RuntimeError(
-                f"{what} leaves message 1 decoded as {decoded} only with "
-                f"probability {probability}; the channel must map basis states to basis states"
-            )
-        return int(labels[decoded - 1])
-
-    base = label(sent, "no error")
+    decoded, probability = measure(sent, readout)
+    if abs(probability - 1.0) > 1e-9:
+        raise RuntimeError(
+            f"no error leaves message 1 decoded as {decoded} only with "
+            f"probability {probability}; the channel must map basis states to basis states"
+        )
     readouts = range(len(labels))
     row = [0.0] * len(labels)  # R, message 1's distribution by readout
-    row[base] = 1.0
-    for q, weights, (with_x, with_z) in zip(family.transit, _pauli_tables(family, channel), pairs):
-        _, wx, wy, wz = weights
-        x = label(with_x, f"X on qubit {q}") ^ base if wx or wy else 0
-        z = label(with_z, f"Z on qubit {q}") ^ base if wz or wy else 0
+    row[labels[decoded - 1]] = 1.0
+    for weights, (x, z) in zip(_pauli_tables(family, channel), syndromes):
         folded = [0.0] * len(labels)
         for w, s in zip(weights, (0, x, x ^ z, z)):
             if w:

@@ -31,7 +31,18 @@ from ghzdense.protocol import (
     _family,
     run_trials,
 )
-from ghzdense.qstate import PAULI_X, PAULI_Y, PAULI_Z, apply_on_subset, inner_product
+from ghzdense.qstate import (
+    CNOT,
+    HADAMARD,
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    StateVector,
+    apply_on_subset,
+    embed_on_subset,
+    inner_product,
+    measure_computational,
+)
 from test_protocol import _exhaustive_ghz_rate_at_full_noise
 
 PARTNER = [2, 1, 4, 3, 6, 5, 8, 7]
@@ -255,6 +266,56 @@ def test_float_fold_equals_the_array_fold_bit_for_bit(name):
         assert np.array_equal(_decode_distribution(family, channel), want), channel
 
 
+def _assert_rule_syndromes(n: int, states, label) -> None:
+    """For every state and every qubit, the receiver's included, the
+    rule's x and z are what X and Z XOR into ``label``, the readout as an
+    integer, sign bit first; Y XORs their XOR."""
+    paulis = {"X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
+    for state in states:
+        for q in range(1, n + 1):
+            x, z = ghzmeasure._syndromes(n, q)
+            got = {g: label(apply_on_subset(state, u, (q,))) ^ label(state) for g, u in paulis.items()}
+            assert got == {"X": x, "Y": x ^ z, "Z": z}, (q, got)
+
+
+@pytest.mark.parametrize("name", PROTOCOL_NAMES)
+def test_syndromes_equal_the_exchanges(name):
+    """On every message of the family, read out by its own measurement."""
+    family = _family(name)
+    measure = protocol.bell_measure if name == "bell2" else ghz_measure
+    labels = [int(bits, 2) for bits in family.decode_table]
+
+    def label(state):
+        decoded, probability = measure(state, 0)
+        assert probability == pytest.approx(1.0, abs=1e-9)
+        return labels[decoded - 1]
+
+    _assert_rule_syndromes(family.catalog.n_qubits, family.catalog.states, label)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_syndromes_equal_the_exchanges_beyond_three_qubits(n):
+    """On every n-qubit GHZ state (|0t> +- |1t'>)/sqrt(2), t' the complement
+    of t, read out through the network CNOT(1, k) for k = n..2, then H(1),
+    built here from embedded gates."""
+    gates = [embed_on_subset(CNOT, (1, k), n) for k in range(n, 1, -1)] + [embed_on_subset(HADAMARD, (1,), n)]
+    network = np.eye(1 << n)
+    for gate in gates:
+        network = gate.entries @ network
+
+    def label(state):
+        outcome, probability = measure_computational(StateVector(network @ state.amplitudes), 0)
+        assert probability == pytest.approx(1.0, abs=1e-9)
+        return int(outcome, 2)
+
+    states = []
+    for first, sign in itertools.product(range(1 << (n - 1)), (1.0, -1.0)):
+        amps = np.zeros(1 << n, dtype=np.complex128)
+        amps[first], amps[first ^ ((1 << n) - 1)] = 1.0, sign
+        states.append(StateVector(amps / np.sqrt(2.0)))
+    _assert_rule_syndromes(n, states, label)
+
+
 @pytest.fixture
 def exchanges(monkeypatch) -> list[str]:
     """The measurements ``protocol`` makes, by name, in call order."""
@@ -266,34 +327,33 @@ def exchanges(monkeypatch) -> list[str]:
 
 
 @pytest.mark.parametrize(
-    "name, channel, count",
+    "name, channel",
     [
-        ("ghz3", ChannelConfig(forced_errors={1: "Z"}), 2),
-        ("ghz3", ChannelConfig(forced_errors={2: "Y"}), 3),
-        ("ghz3", ChannelConfig(forced_errors={1: "X", 2: "Z"}), 3),
-        ("ghz3", ChannelConfig(forced_errors={1: "Y", 2: "Y"}), 5),
-        ("ghz3", ChannelConfig(forced_errors={}), 1),
-        ("ghz3", ChannelConfig(pauli_error_prob=0.5, forced_errors={2: "Y"}), 3),  # p is ignored
-        ("bell2", ChannelConfig(forced_errors={1: "X"}), 2),
-        ("bell2", ChannelConfig(forced_errors={1: "Y"}), 3),
-        ("ghz3", ChannelConfig(pauli_error_prob=1.0), 5),
-        ("bell2", ChannelConfig(pauli_error_prob=1.0), 3),
-        ("ghz3", ChannelConfig(pauli_error_prob=0.0), 1),
-        ("ghz3", ChannelConfig(pauli_error_prob=0.1), 5),
-        ("bell2", ChannelConfig(pauli_error_prob=0.0), 1),
-        ("bell2", ChannelConfig(pauli_error_prob=0.3), 3),
+        ("ghz3", ChannelConfig(forced_errors={1: "Z"})),
+        ("ghz3", ChannelConfig(forced_errors={2: "Y"})),
+        ("ghz3", ChannelConfig(forced_errors={1: "X", 2: "Z"})),
+        ("ghz3", ChannelConfig(forced_errors={1: "Y", 2: "Y"})),
+        ("ghz3", ChannelConfig(forced_errors={})),
+        ("ghz3", ChannelConfig(pauli_error_prob=0.5, forced_errors={2: "Y"})),  # p is ignored
+        ("bell2", ChannelConfig(forced_errors={1: "X"})),
+        ("bell2", ChannelConfig(forced_errors={1: "Y"})),
+        ("ghz3", ChannelConfig(pauli_error_prob=1.0)),
+        ("bell2", ChannelConfig(pauli_error_prob=1.0)),
+        ("ghz3", ChannelConfig(pauli_error_prob=0.0)),
+        ("ghz3", ChannelConfig(pauli_error_prob=0.1)),
+        ("bell2", ChannelConfig(pauli_error_prob=0.0)),
+        ("bell2", ChannelConfig(pauli_error_prob=0.3)),
     ],
 )
-def test_exchange_counts(exchanges, monkeypatch, name, channel, count):
-    """1 error-free, plus 1 per X or Z error on each transit qubit that has
-    weight in the channel; Y takes both. Each exchange is one computational
-    readout, also on a warm call."""
+def test_exchange_counts(exchanges, monkeypatch, name, channel):
+    """Whatever the channel, a call reads out the error-free exchange only:
+    one measurement and one computational readout, also on a warm call."""
     run_trials(name, 1_000, channel)
     readouts, real = [], ghzmeasure.measure_computational
     monkeypatch.setattr(ghzmeasure, "measure_computational", lambda *a: readouts.append(a) or real(*a))
     run_trials(name, 1_000, channel)
-    assert exchanges == ["bell_measure" if name == "bell2" else "ghz_measure"] * (2 * count)
-    assert len(readouts) == count
+    assert exchanges == ["bell_measure" if name == "bell2" else "ghz_measure"] * 2
+    assert len(readouts) == 1
 
 
 def test_uncertain_readout_is_an_error(monkeypatch):
@@ -302,59 +362,46 @@ def test_uncertain_readout_is_an_error(monkeypatch):
         run_trials("ghz3", 10)
 
 
-def test_uncertain_readout_of_an_errored_state_is_an_error(monkeypatch):
-    """The guard runs on every exchange, not only the error-free one."""
-    clean = _encode(_family("ghz3"), 1).amplitudes
-
-    def measure(state, rng):
-        return ghz_measure(state, rng) if np.array_equal(state.amplitudes, clean) else (1, 0.5)
-
-    monkeypatch.setattr(protocol, "ghz_measure", measure)
-    with pytest.raises(RuntimeError, match="basis states"):
-        run_trials("ghz3", 10, ChannelConfig(pauli_error_prob=0.1))
-
-
-@pytest.mark.parametrize(
-    "channel, what",
-    [(ChannelConfig(pauli_error_prob=0.1), "X on qubit 1"), (ChannelConfig(forced_errors={2: "Z"}), "Z on qubit 2")],
-)
-def test_uncertain_readout_error_names_the_exchange(monkeypatch, channel, what):
-    clean = _encode(_family("ghz3"), 1).amplitudes
-
-    def measure(state, rng):
-        return ghz_measure(state, rng) if np.array_equal(state.amplitudes, clean) else (1, 0.5)
-
-    monkeypatch.setattr(protocol, "ghz_measure", measure)
+def test_uncertain_readout_error_names_the_exchange(monkeypatch):
+    monkeypatch.setattr(protocol, "ghz_measure", lambda state, rng: (1, 0.5))
     message = (
-        f"{what} leaves message 1 decoded as 1 only with probability 0.5; "
+        "no error leaves message 1 decoded as 1 only with probability 0.5; "
         "the channel must map basis states to basis states"
     )
     with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
-        run_trials("ghz3", 10, channel)
+        run_trials("ghz3", 10, ChannelConfig(pauli_error_prob=0.1))
 
 
 @pytest.mark.parametrize("name", PROTOCOL_NAMES)
-def test_exchange_inputs_are_the_errored_states_bit_for_bit(name):
+def test_exchange_inputs_are_the_rule_syndromes_and_read_only_labels(name):
     family = _family(name)
-    state, pairs, labels, relabel, _ = protocol._exchange_inputs(family)
-    sent = family.catalog.state(1)
-    paulis = {"X": PAULI_X, "Z": PAULI_Z}
-    want = [tuple(apply_on_subset(sent, paulis[g], (q,)) for g in "XZ") for q in family.transit]
-    assert len(pairs) == len(want) == len(family.transit)
-    assert state is sent
-    for q, pair, applied in zip(family.transit, pairs, want):
-        assert [s.amplitudes.tobytes() for s in pair] == [s.amplitudes.tobytes() for s in applied], q
+    state, syndromes, labels, relabel, _ = protocol._exchange_inputs(family)
+    assert state is family.catalog.state(1)
+    assert syndromes == tuple(ghzmeasure._syndromes(family.catalog.n_qubits, q) for q in family.transit)
     assert labels.tolist() == [int(bits, 2) for bits in family.decode_table]
     assert not labels.flags.writeable
     assert_array_equal(relabel, labels[:, None] ^ labels ^ labels[0])
     assert not relabel.flags.writeable
 
 
-def test_exchange_inputs_are_built_once_per_family(monkeypatch):
-    """Each transit qubit's X and Z are applied once per family, whatever
-    the channel of the first call."""
-    applied, real = [], protocol.apply_on_subset
-    monkeypatch.setattr(protocol, "apply_on_subset", lambda *a: applied.append(a[2]) or real(*a))
+@pytest.fixture
+def applied(monkeypatch) -> list[tuple]:
+    """The arguments of every ``apply_on_subset`` call, patched at each
+    binding the package's modules hold."""
+    calls, real = [], ghzdense.qstate.apply_on_subset
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "ghzdense" and getattr(module, "apply_on_subset", None) is real:
+            monkeypatch.setattr(module, "apply_on_subset", lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+def test_run_trials_never_calls_apply_on_subset(applied):
+    """No error is injected into a state, with the exchange inputs cold
+    (cache cleared) or warm, on any channel. The networks are built first:
+    ``embed_on_subset`` builds their operators from ``apply_on_subset``."""
+    for name in PROTOCOL_NAMES:
+        ghzmeasure._network_operator(_family(name))
+    applied.clear()
     protocol._exchange_inputs.cache_clear()
     try:
         for p in (0.0, 0.1):
@@ -362,15 +409,14 @@ def test_exchange_inputs_are_built_once_per_family(monkeypatch):
             run_trials("bell2", 10, ChannelConfig(pauli_error_prob=p))
     finally:
         protocol._exchange_inputs.cache_clear()
-    assert applied == [(1,), (1,), (2,), (2,), (1,), (1,)]
+    assert applied == []
 
 
-def test_warm_trials_inject_no_error_and_seed_only_their_own_stream(monkeypatch):
+def test_warm_trials_inject_no_error_and_seed_only_their_own_stream(monkeypatch, applied):
     for name in PROTOCOL_NAMES:
         run_trials(name, 10)
-    applied, seeded = [], []
-    real_apply, real_rng = protocol.apply_on_subset, protocol._rng
-    monkeypatch.setattr(protocol, "apply_on_subset", lambda *a: applied.append(a) or real_apply(*a))
+    applied.clear()  # a cold network operator is built from apply_on_subset
+    seeded, real_rng = [], protocol._rng
     monkeypatch.setattr(protocol, "_rng", lambda seed: seeded.append(seed) or real_rng(seed))
     channels = [ChannelConfig(p, seed) for p, seed in [(0.0, 3), (0.1, 4), (1.0, 5)]]
     channels.append(ChannelConfig(rng_seed=6, forced_errors={1: "Y"}))
@@ -444,22 +490,22 @@ def test_single_exchange_is_a_one_trial_batch():
 
 
 def test_cost_does_not_grow_with_trials(exchanges):
-    """Exchanges per call: 1 error-free, plus 1 per X or Z error on each
-    transit qubit the channel can apply, whatever the trial count."""
+    """One readout per call, the error-free exchange's, whatever the trial
+    count, the channel or a pinned message."""
     calls = exchanges
     channel = ChannelConfig(pauli_error_prob=0.1, rng_seed=0)
     run_trials("ghz3", 10, channel)
-    few = len(calls)
+    assert len(calls) == 1
     report = run_trials("ghz3", 1_000_000, channel)
-    assert len(calls) - few == few == 5
+    assert len(calls) == 2
     assert sum(report.messages_histogram) == 1_000_000
     run_trials("ghz3", 1_000, channel, fixed_message=5)
-    assert len(calls) == 3 * 5
-    for name, measure, noisy in [("ghz3", "ghz_measure", 5), ("bell2", "bell_measure", 3)]:
-        for p, exchanges in [(0.1, noisy), (0.0, 1)]:
+    assert len(calls) == 3
+    for name, measure in [("ghz3", "ghz_measure"), ("bell2", "bell_measure")]:
+        for p in (0.1, 0.0):
             calls.clear()
             run_trials(name, 1_000_000, ChannelConfig(pauli_error_prob=p))
-            assert calls == [measure] * exchanges, (name, p)
+            assert calls == [measure], (name, p)
 
 
 def test_roundtrip_json_carries_exact_rate_and_decoded_counts():
