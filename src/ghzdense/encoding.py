@@ -24,6 +24,13 @@ negative, the largest achievable overlap |<target| (u (x) 1) |source>|
 over all unitaries u is the nuclear norm of Y X^H, reported as the
 obstruction.
 
+Reachability by one qubit is an equivalence: its classes are the states
+with equal reduced states on the other qubits. A catalog's matrix
+compares every pair's Gram matrices in one stacked broadcast and makes
+one exact call per state, from the first state that reaches it, whose
+witness it composes with the others' for the rest of the pair's class
+(see :func:`reachability_matrix`).
+
 The sampled oracle cross-checks these verdicts by brute force. Each
 sample is a unit quaternion g (four normals over their norm), which is a
 Haar unitary on SU(2), and each pair's fidelity is a real quadratic form
@@ -237,25 +244,63 @@ def reachability_oracle(
     return float(_best_sampled_fidelities((source,), (target,), qubit, samples, rng_seed)[0, 0])
 
 
+def _decided_witness(states, i: int, j: int, qubit: int) -> np.ndarray:
+    """The witness of the pair (i, j), 0-based, that the stacked Gram gap
+    called reachable, from its own :func:`reachable_by_single_qubit` call
+    (its own Gram test, polar factor and re-check); a call that says
+    unreachable is an ``ArithmeticError`` naming the pair."""
+    verdict = reachable_by_single_qubit(states[i], states[j], qubit)
+    if not verdict.reachable:
+        raise ArithmeticError(
+            f"states {i + 1} and {j + 1}: the stacked Gram gap says reachable, "
+            "reachable_by_single_qubit says not"
+        )
+    return verdict.witness.entries
+
+
 def reachability_matrix(catalog: BasisCatalog, qubit: int) -> np.ndarray:
     """Boolean matrix over ordered catalog pairs: entry (i-1, j-1) says
     whether state i reaches state j through a unitary on ``qubit``.
 
-    Each unordered pair is decided once, with i <= j, and mirrored:
-    k(k+1)/2 verdicts, 36 for an 8-state catalog. A unitary u on one qubit
-    is undone by u^dagger, so reachability is symmetric, and the mirror is
-    exact: the Gram gap max|G_i - G_j| reads the same floats in either
-    order, so the (j, i) verdict would be the same boolean, and its witness
-    would be the adjoint of the (i, j) witness (to rounding), with the same
-    fidelity, so no re-check is lost. The diagonal keeps its verdict, and
-    with it the witness re-check of every state.
+    Every state is split once and its Gram matrix G = X^H X formed in one
+    stacked product; every pair's gap max|G_i - G_j| comes from one
+    broadcast, and its verdict is ``not gap > REACH_ATOL``, the comparison
+    :func:`reachable_by_single_qubit` makes, on the same floats. The gap
+    reads the same in either order, so the matrix is symmetric.
+
+    Reachability by one qubit is an equivalence: its classes are the
+    states with equal reduced states on the other qubits (Hughston, Jozsa
+    and Wootters, Phys. Lett. A 183:14, 1993). State j's representative
+    r(j) is the first state that reaches it, and one
+    :func:`reachable_by_single_qubit` call per state, from r(j) to j,
+    gives its witness W_j: k calls, 8 for ghz and phi. A call whose
+    verdict differs from the stacked one is an ``ArithmeticError``. For
+    i < j with r(i) = r(j) the witness is W_j W_i^H, and every such
+    reachable pair is re-checked at once, |<X_j, W_j W_i^H X_i>|^2 read as
+    <W_j^H X_j, W_i^H X_i> from one ``einsum``, against
+    ``_WITNESS_MIN_FIDELITY``. A reachable pair with r(i) != r(j) that is
+    not one of the k calls, which only gaps chaining within ``REACH_ATOL``
+    make, is decided by a call of its own. The verdicts stay pairwise, so
+    such a chain merges no classes.
     """
     states = catalog.states
-    k = len(states)
-    out = np.zeros((k, k), dtype=bool)
-    for i in range(k):
-        for j in range(i, k):
-            out[i, j] = out[j, i] = reachable_by_single_qubit(states[i], states[j], qubit).reachable
+    x = np.stack(_cofactors(states, qubit))
+    grams = x.conj().transpose(0, 2, 1) @ x
+    out = ~(np.abs(grams[:, None] - grams[None]).max(axis=(2, 3)) > REACH_ATOL)
+    rep = out.argmax(axis=0)
+    witnesses = np.stack([_decided_witness(states, rep[j], j, qubit) for j in range(len(states))])
+    back = witnesses.conj().transpose(0, 2, 1) @ x
+    fidelity = np.abs(np.einsum("jad,iad->ij", back.conj(), back)) ** 2
+    pairs = np.triu(out, 1)
+    composed = pairs & (rep[:, None] == rep[None])
+    for i, j in np.argwhere(composed & (fidelity < _WITNESS_MIN_FIDELITY)):
+        raise ArithmeticError(
+            f"states {i + 1} and {j + 1}: composed witness fidelity {fidelity[i, j]} "
+            f"below {_WITNESS_MIN_FIDELITY}"
+        )
+    for i, j in np.argwhere(pairs & ~composed):
+        if i != rep[j]:
+            _decided_witness(states, i, j, qubit)
     return out
 
 

@@ -3,7 +3,8 @@
 ``kron_embed`` is the independent oracle for subset application: it
 builds the full operator by conjugating a plain Kronecker product with
 an explicit basis-permutation matrix, touching none of the package's
-axis-moving code.
+axis-moving code. ``every_pair_matrix`` is the reference for the
+reachability matrix: one ``reachable_by_single_qubit`` call per ordered pair.
 
 Property tests run under a derandomized hypothesis profile, so their
 examples, like every other sample in the suite, are the same on every run.
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ghzdense.encoding import reachable_by_single_qubit
 from ghzdense.qstate import StateVector
 
 try:
@@ -44,3 +46,15 @@ def random_state(rng: np.random.Generator, n_qubits: int) -> StateVector:
     """Normalized complex Gaussian state vector."""
     z = rng.standard_normal(2**n_qubits) + 1j * rng.standard_normal(2**n_qubits)
     return StateVector(z / np.linalg.norm(z))
+
+
+def every_pair_matrix(catalog, qubit: int) -> np.ndarray:
+    """The k^2-verdict reference for ``reachability_matrix``: every ordered
+    pair decided by its own ``reachable_by_single_qubit`` call."""
+    k = len(catalog)
+    return np.array(
+        [
+            [reachable_by_single_qubit(catalog.state(i), catalog.state(j), qubit).reachable for j in range(1, k + 1)]
+            for i in range(1, k + 1)
+        ]
+    )

@@ -3,8 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import ghzdense.encoding as encoding_mod
-from conftest import kron_embed, random_state
-from ghzdense.bases import bell_catalog, bell_state, ghz_catalog, ghz_state, phi_catalog, phi_state
+from conftest import every_pair_matrix, kron_embed, random_state
+from ghzdense.bases import BasisCatalog, bell_catalog, bell_state, ghz_catalog, ghz_state, phi_catalog, phi_state
 from ghzdense.encoding import (
     _ORACLE_CHUNK,
     REACH_ATOL,
@@ -196,9 +196,9 @@ class TestReachableBySingleQubit:
 
     @pytest.mark.parametrize("catalog_fn,qubit", CATALOG_QUBITS)
     def test_every_ordered_pair_gets_its_mirror_verdict(self, catalog_fn, qubit):
-        """The premise of the mirrored matrix, checked pair by pair: i reaches
-        j exactly when j reaches i, and an unreachable pair's best overlap is
-        the same from either side."""
+        """The premise of the matrix's re-checks, which read only pairs with
+        i <= j, checked pair by pair: i reaches j exactly when j reaches i,
+        and an unreachable pair's best overlap is the same from either side."""
         cat = catalog_fn()
         for i in range(1, len(cat) + 1):
             for j in range(1, len(cat) + 1):
@@ -236,16 +236,18 @@ class TestReachableBySingleQubit:
             reachable_by_single_qubit(ghz_state(1), ghz_state(1), 1)
 
 
-def _every_pair_matrix(catalog, qubit):
-    """The k^2-verdict formula, kept as the reference: every ordered pair
-    decided by its own call, the mirror pair included."""
-    k = len(catalog)
-    return np.array(
-        [
-            [reachable_by_single_qubit(catalog.state(i), catalog.state(j), qubit).reachable for j in range(1, k + 1)]
-            for i in range(1, k + 1)
-        ]
-    )
+def _recorded_calls(catalog, monkeypatch) -> list[tuple[int, int]]:
+    """Patch ``reachable_by_single_qubit`` to record each call's (source,
+    target) as 1-based catalog indices, in call order."""
+    index = {id(catalog.state(i)): i for i in range(1, len(catalog) + 1)}
+    calls = []
+
+    def recording(source, target, q):
+        calls.append((index[id(source)], index[id(target)]))
+        return reachable_by_single_qubit(source, target, q)
+
+    monkeypatch.setattr(encoding_mod, "reachable_by_single_qubit", recording)
+    return calls
 
 
 class TestReachabilityMatrix:
@@ -301,28 +303,70 @@ class TestReachabilityMatrix:
     @pytest.mark.parametrize("catalog_fn,qubit", CATALOG_QUBITS)
     def test_equals_every_ordered_pair_decided_on_its_own(self, catalog_fn, qubit):
         cat = catalog_fn()
-        assert np.array_equal(reachability_matrix(cat, qubit), _every_pair_matrix(cat, qubit))
+        assert np.array_equal(reachability_matrix(cat, qubit), every_pair_matrix(cat, qubit))
 
     @pytest.mark.parametrize("catalog_fn,qubit", CATALOG_QUBITS)
-    def test_decides_each_unordered_pair_once(self, catalog_fn, qubit, monkeypatch):
+    def test_one_witness_call_per_state_from_its_representative(self, catalog_fn, qubit, monkeypatch):
         cat = catalog_fn()
-        index = {id(cat.state(i)): i for i in range(1, len(cat) + 1)}
-        decided = []
-
-        def counting(source, target, q):
-            decided.append((index[id(source)], index[id(target)]))
-            return reachable_by_single_qubit(source, target, q)
-
-        monkeypatch.setattr(encoding_mod, "reachable_by_single_qubit", counting)
-        reachability_matrix(cat, qubit)
+        calls = _recorded_calls(cat, monkeypatch)
+        m = reachability_matrix(cat, qubit)
         k = len(cat)
-        assert len(decided) == k * (k + 1) // 2  # 36 for ghz and phi, 10 for bell
-        assert {frozenset(pair) for pair in decided} == {
-            frozenset((i, j)) for i in range(1, k + 1) for j in range(i, k + 1)
-        }
+        # State j's representative is the first state that reaches it.
+        first = [min(i for i in range(1, k + 1) if m[i - 1, j - 1]) for j in range(1, k + 1)]
+        assert calls == [(first[j - 1], j) for j in range(1, k + 1)]  # 8 for ghz and phi, 4 for bell
+
+    def test_ghz_qubit_1_witness_calls(self, monkeypatch):
+        calls = _recorded_calls(ghz_catalog(), monkeypatch)
+        reachability_matrix(ghz_catalog(), 1)
+        assert calls == [(1, 1), (1, 2), (1, 3), (1, 4), (5, 5), (5, 6), (5, 7), (5, 8)]
+
+    @pytest.mark.parametrize("catalog_fn,qubit", CATALOG_QUBITS)
+    def test_matrix_is_transitive(self, catalog_fn, qubit):
+        m = reachability_matrix(catalog_fn(), qubit).astype(int)
+        assert np.array_equal((m @ m) > 0, m > 0)
+
+    def test_gaps_chaining_within_tolerance_stay_pairwise(self, monkeypatch):
+        # cos t|000> + sin t|011> at t = 0.3, 0.3 + 2 delta, 0.3 + delta: on qubit 1
+        # the gaps are 1.16e-10 between states 1 and 2 and 5.8e-11 for the two pairs
+        # with state 3, so 3 reaches both, while 1 and 2 do not reach each other.
+        delta = 7e-11
+        states = []
+        for t in (0.3, 0.3 + 2 * delta, 0.3 + delta):
+            amps = np.zeros(8, dtype=complex)
+            amps[0b000], amps[0b011] = np.cos(t), np.sin(t)
+            states.append(StateVector(amps))
+        cat = BasisCatalog("edge", tuple(states))
+        calls = _recorded_calls(cat, monkeypatch)
+        m = reachability_matrix(cat, 1)
+        assert np.array_equal(m, [[1, 0, 1], [0, 1, 1], [1, 1, 1]])
+        # Two witness calls from their own representatives, one from state 1, and the
+        # pair (2, 3), whose representatives differ, decided by a call of its own.
+        assert calls == [(1, 1), (2, 2), (1, 3), (2, 3)]
+        assert np.array_equal(m, every_pair_matrix(cat, 1))
+
+    def test_wrong_witness_fails_the_composed_recheck(self, monkeypatch):
+        def pauli_x_off_diagonal(source, target, q):
+            verdict = reachable_by_single_qubit(source, target, q)
+            if source is target or not verdict.reachable:
+                return verdict
+            return ReachabilityVerdict(reachable=True, witness=PAULI_X)
+
+        monkeypatch.setattr(encoding_mod, "reachable_by_single_qubit", pauli_x_off_diagonal)
+        with pytest.raises(ArithmeticError, match=r"^states \d and \d: composed witness fidelity"):
+            reachability_matrix(ghz_catalog(), 1)
+
+    def test_call_disagreeing_with_the_stacked_gap_raises(self, monkeypatch):
+        def unreachable_off_diagonal(source, target, q):
+            if source is target:
+                return reachable_by_single_qubit(source, target, q)
+            return ReachabilityVerdict(reachable=False, obstruction=0.0)
+
+        monkeypatch.setattr(encoding_mod, "reachable_by_single_qubit", unreachable_off_diagonal)
+        with pytest.raises(ArithmeticError, match="^states 1 and 2: the stacked Gram gap says reachable"):
+            reachability_matrix(ghz_catalog(), 1)
 
     def test_witness_recheck_still_guards_the_matrix(self, monkeypatch):
-        # The diagonal keeps its verdict, so every matrix re-checks witnesses.
+        # Every state's witness call re-checks its witness, the representatives' included.
         monkeypatch.setattr(encoding_mod, "_witness_fidelity", lambda witness, x, y: 0.5)
         with pytest.raises(ArithmeticError, match="witness fidelity 0.5"):
             reachability_matrix(ghz_catalog(), 1)

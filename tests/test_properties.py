@@ -9,8 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from conftest import kron_embed, random_state
-from ghzdense.bases import catalog_by_name, ghz_family
+from conftest import every_pair_matrix, kron_embed, random_state
+from ghzdense.bases import BasisCatalog, catalog_by_name, ghz_family
 from ghzdense.encoding import reachability_matrix
 from ghzdense.qstate import StateVector, apply_on_subset, dump_state, haar_random_unitary, load_state
 
@@ -119,3 +119,26 @@ def test_reachability_is_symmetric(basis, data):
     qubit = data.draw(st.integers(1, catalog.n_qubits))
     matrix = reachability_matrix(catalog, qubit)
     assert np.array_equal(matrix, matrix.T)
+
+
+@given(st.integers(2, 4), st.data())
+def test_reachability_matrix_equals_every_pair_decided_on_its_own(n, data):
+    """Catalogs with classes of more than one state (Haar images of earlier
+    states on the decided qubit) and product states, whose co-factor
+    matrices have rank 1: the matrix equals the k^2-call reference."""
+    qubit = data.draw(st.integers(1, n))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    states = []
+    for kind in data.draw(st.lists(st.sampled_from(["random", "product", "image"]), min_size=1, max_size=6)):
+        if kind == "image" and states:
+            source = states[data.draw(st.integers(0, len(states) - 1))]
+            states.append(apply_on_subset(source, haar_random_unitary(2, rng), (qubit,)))
+        elif kind == "product":
+            amps = np.ones(1)
+            for _ in range(n):
+                amps = np.kron(amps, random_state(rng, 1).amplitudes)
+            states.append(StateVector(amps))
+        else:
+            states.append(random_state(rng, n))
+    catalog = BasisCatalog("generated", tuple(states))
+    assert_array_equal(reachability_matrix(catalog, qubit), every_pair_matrix(catalog, qubit))
