@@ -32,12 +32,12 @@ witness it composes with the others' for the rest of the pair's class
 (see :func:`reachability_matrix`).
 
 The sampled oracle cross-checks these verdicts by brute force. Each
-sample is a unit quaternion g (four normals over their norm), which is a
-Haar unitary on SU(2), and each pair's fidelity is a real quadratic form
-g^T Q g of rank at most 2, whose largest eigenvalue is the exact optimum:
-1 when reachable, else the squared obstruction. Pairs with equal Q are
-scored once (5 distinct forms of the 64 ghz pairs), in real arithmetic,
-without building a unitary.
+sample is a row g of four normals, whose direction is a unit quaternion,
+a Haar unitary on SU(2), and each pair's fidelity is the real quadratic
+form g^T Q g / |g|^2, with Q of rank at most 2 and its largest eigenvalue
+the exact optimum: 1 when reachable, else the squared obstruction. Pairs
+with equal Q are scored once (5 distinct forms of the 64 ghz pairs), in
+real arithmetic on the raw normals, without building a unitary.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from .qstate import StateVector, UnitaryMatrix, _checked, _rng, _split, apply_on
 REACH_ATOL = 1e-10  # Gram comparisons accumulate a few products
 _WITNESS_MIN_FIDELITY = 1.0 - 1e-9
 _ORACLE_SAMPLES = 10_000  # the oracle's default sample count, the command line's too
-_MAX_SAMPLES = 10**8  # oracle samples per call: about a minute for a catalog
+_MAX_SAMPLES = 10**8  # oracle samples per call: 12-15 s for a catalog on a 2-vCPU Xeon
 # Samples per draw and scoring product: it bounds the normals at 1024 x 4
 # (32 KB) and the squared projections at 2c x 1024 for c distinct forms
 # (115 KB for phi's 7), and the per-chunk calls stay few.
@@ -197,28 +197,38 @@ def _best_sampled_fidelities(sources, targets, qubit: int, samples, rng_seed) ->
     Haar-random unitaries on ``qubit``: the one scorer behind both oracle
     functions.
 
-    Each sample is a row g of four standard normals, divided by its norm:
-    uniform on the 3-sphere, the unit quaternions (Muller, Commun. ACM
-    2:19, 1959), which :func:`_oracle_forms`' u maps onto Haar on SU(2).
-    A U(2) Haar unitary is that times a uniform global phase, which no
-    fidelity can see, so the best scores have the distribution Haar draws
-    on U(2) would give. The samples are drawn ``_ORACLE_CHUNK`` rows at a
-    time from the one stream, which yields the same normals as one draw of
-    them all, and each chunk scores every distinct form in real arithmetic
-    by one (2c, 4) @ (4, chunk) product of the forms' contiguous rows and
-    the normalised draws; its two row halves, squared and added, are the c
-    fidelities, each reduced along its own contiguous row. No unitary is
-    built.
+    Each sample is a row g of four standard normals, whose direction
+    g / |g| is uniform on the 3-sphere, the unit quaternions (Muller,
+    Commun. ACM 2:19, 1959), which :func:`_oracle_forms`' u maps onto Haar
+    on SU(2). A U(2) Haar unitary is that times a uniform global phase,
+    which no fidelity can see, so the best scores have the distribution
+    Haar draws on U(2) would give. The samples are drawn ``_ORACLE_CHUNK``
+    rows at a time from the one stream, which yields the same normals as
+    one draw of them all, into buffers allocated once per call. Each chunk
+    scores every distinct form in real arithmetic on the raw normals: one
+    (2c, 4) @ (4, chunk) product of the forms' contiguous rows and the
+    draws, squared and its two row halves added in place, gives the c sums
+    g^T Q g, each divided by |g|^2 (one ``einsum`` per chunk) and reduced
+    along its own contiguous row into the running max. Neither a
+    normalised copy of the draws nor a unitary is built.
     """
     samples = _checked(samples, "samples", 1, _MAX_SAMPLES)
     rows, which = _oracle_forms(sources, targets, qubit)
     count = rows.shape[0] // 2
     rng = _rng(rng_seed)
+    size = min(samples, _ORACLE_CHUNK)
+    # Flat so that a short last chunk's products are a contiguous prefix too.
+    draws, products, norms2 = np.empty((size, 4)), np.empty(2 * count * size), np.empty(size)
     best = np.zeros(count)
-    for start in range(0, samples, _ORACLE_CHUNK):
-        g = rng.standard_normal((min(samples - start, _ORACLE_CHUNK), 4))
-        parts = (rows @ (g / np.linalg.norm(g, axis=1, keepdims=True)).T) ** 2
-        np.maximum(best, (parts[:count] + parts[count:]).max(axis=1), out=best)
+    for start in range(0, samples, size):
+        n = min(samples - start, size)
+        g, parts = draws[:n], products[: 2 * count * n].reshape(2 * count, n)
+        rng.standard_normal(out=g)
+        np.matmul(rows, g.T, out=parts)
+        np.square(parts, out=parts)
+        scores = np.add(parts[:count], parts[count:], out=parts[:count])
+        np.divide(scores, np.einsum("ij,ij->i", g, g, out=norms2[:n]), out=scores)
+        np.maximum(best, scores.max(axis=1), out=best)
     return best[which].reshape(len(sources), len(targets))
 
 
@@ -233,8 +243,9 @@ def reachability_oracle(
     apply ``samples`` Haar-random unitaries to ``qubit`` of ``source`` and
     return the best fidelity (up to phase) against ``target`` seen.
 
-    ``samples`` is an integer in [1, 10^8]; the ceiling, about a minute of
-    sampling, keeps a mistyped count from running until killed.
+    ``samples`` is an integer in [1, 10^8]; the ceiling, 12-15 s of
+    sampling for a catalog on a 2-vCPU Xeon, keeps a mistyped count from
+    running until killed.
     ``rng_seed`` is an integer seed >= 0 or a ``numpy.random.Generator``;
     anything else, bools and floats included, is a ``ValueError``.
     Results are a deterministic function of the arguments. This is the

@@ -32,6 +32,10 @@ from ghzdense.qstate import (
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
+# Oracle sample counts at the chunk edges: many chunks, a full one and 3
+# more, one row, one exact chunk.
+CHUNK_EDGES = [50_003, _ORACLE_CHUNK + 3, 1, _ORACLE_CHUNK]
+
 # Every basis at every qubit: (catalog builder, qubit).
 CATALOG_QUBITS = [(ghz_catalog, q) for q in (1, 2, 3)] + [(phi_catalog, q) for q in (1, 2, 3)] + [
     (bell_catalog, q) for q in (1, 2)
@@ -459,10 +463,26 @@ def _first_oracle_matrix(catalog, qubit, samples, rng):
     )
 
 
-def _every_form_oracle_matrix(catalog, qubit, samples, rng):
+def _raw_scores(g, columns):
+    """The scorer's arithmetic: the raw normals' squared parts of L, the
+    real and imaginary halves added, over |g|^2."""
+    parts = (g @ columns) ** 2
+    half = parts.shape[1] // 2
+    return (parts[:, :half] + parts[:, half:]) / np.einsum("ij,ij->i", g, g)[:, None]
+
+
+def _normalised_scores(g, columns):
+    """The first scorer's arithmetic: each draw divided by its norm before
+    its squared parts of L are taken and the halves added."""
+    parts = (g / np.linalg.norm(g, axis=1, keepdims=True) @ columns) ** 2
+    half = parts.shape[1] // 2
+    return parts[:, :half] + parts[:, half:]
+
+
+def _every_form_oracle_matrix(catalog, qubit, samples, rng, scores=_raw_scores):
     """Every pair's form scored, none deduplicated: all k^2 pairs' real and
-    imaginary parts of L, from the same normals, drawn and scored in the
-    scorer's chunks."""
+    imaginary parts of L, from the same normals, drawn in the scorer's
+    chunks and scored by ``scores``."""
     k = len(catalog)
     rows = np.stack([_rows(s, qubit) for s in catalog.states])
     m00, m01, m10, m11 = np.einsum("tad,sbd->stab", rows.conj(), rows).reshape(-1, 4).T
@@ -471,8 +491,7 @@ def _every_form_oracle_matrix(catalog, qubit, samples, rng):
     best = np.zeros(k * k)
     for start in range(0, samples, _ORACLE_CHUNK):
         g = rng.standard_normal((min(_ORACLE_CHUNK, samples - start), 4))
-        parts = (g / np.linalg.norm(g, axis=1, keepdims=True) @ columns) ** 2
-        best = np.maximum(best, (parts[:, : k * k] + parts[:, k * k :]).max(axis=0))
+        best = np.maximum(best, scores(g, columns).max(axis=0))
     return best.reshape(k, k)
 
 
@@ -486,13 +505,28 @@ def _exact_optimum(catalog, qubit):
 class TestReachabilityOracleMatrix:
     """All pairs are scored against one shared set of Haar draws."""
 
-    # Many chunks, a full one and 3 more, one row, one exact chunk.
-    @pytest.mark.parametrize("samples", [50_003, _ORACLE_CHUNK + 3, 1, _ORACLE_CHUNK])
+    @pytest.mark.parametrize("samples", CHUNK_EDGES)
     @pytest.mark.parametrize("catalog_fn,qubit", CATALOG_QUBITS)
     def test_scoring_distinct_forms_once_is_exact(self, catalog_fn, qubit, samples):
         got = reachability_oracle_matrix(catalog_fn(), qubit, samples=samples, rng_seed=3)
         want = _every_form_oracle_matrix(catalog_fn(), qubit, samples, np.random.default_rng(3))
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("samples", CHUNK_EDGES)
+    @pytest.mark.parametrize("catalog_fn,qubit", CATALOG_QUBITS)
+    def test_raw_draws_score_as_normalised_draws(self, catalog_fn, qubit, samples):
+        """Dividing the summed squares by |g|^2 moves no entry by more than
+        a few ulps from dividing each draw by |g| first."""
+        got = reachability_oracle_matrix(catalog_fn(), qubit, samples=samples, rng_seed=3)
+        want = _every_form_oracle_matrix(catalog_fn(), qubit, samples, np.random.default_rng(3), _normalised_scores)
+        assert_allclose(got, want, rtol=0, atol=1e-15)
+
+    def test_a_later_call_leaves_an_earlier_result_alone(self):
+        cat = ghz_catalog()
+        first = reachability_oracle_matrix(cat, 1, samples=_ORACLE_CHUNK + 3, rng_seed=1)
+        kept = first.copy()
+        reachability_oracle_matrix(cat, 1, samples=_ORACLE_CHUNK + 3, rng_seed=2)
+        assert np.array_equal(first, kept)
 
     @pytest.mark.parametrize("catalog_fn,qubit", CATALOG_QUBITS)
     def test_each_form_peaks_at_the_exact_optimum(self, catalog_fn, qubit):
