@@ -26,10 +26,11 @@ obstruction.
 
 Reachability by one qubit is an equivalence: its classes are the states
 with equal reduced states on the other qubits. A catalog's matrix
-compares every pair's Gram matrices in one stacked broadcast and makes
-one exact call per state, from the first state that reaches it, whose
-witness it composes with the others' for the rest of the pair's class
-(see :func:`reachability_matrix`).
+compares every pair's Gram matrices in one stacked broadcast. Each
+class's first state takes the identity as its witness, and every other
+state gets its witness from one exact call from that first state; these
+compose into the witness of every other pair in the class (see
+:func:`reachability_matrix`).
 
 The sampled oracle cross-checks these verdicts by brute force. Each
 sample is a row g of four normals, whose direction is a unit quaternion,
@@ -282,24 +283,28 @@ def reachability_matrix(catalog: BasisCatalog, qubit: int) -> np.ndarray:
     Reachability by one qubit is an equivalence: its classes are the
     states with equal reduced states on the other qubits (Hughston, Jozsa
     and Wootters, Phys. Lett. A 183:14, 1993). State j's representative
-    r(j) is the first state that reaches it, and one
-    :func:`reachable_by_single_qubit` call per state, from r(j) to j,
-    gives its witness W_j: k calls, 8 for ghz and phi. A call whose
-    verdict differs from the stacked one is an ``ArithmeticError``. For
-    i < j with r(i) = r(j) the witness is W_j W_i^H, and every such
+    r(j) is the first state that reaches it. A representative, r(j) = j,
+    takes the exact 2 x 2 identity as its witness W_j; every other state
+    gets W_j from one :func:`reachable_by_single_qubit` call from r(j) to
+    j: one call per state that is not its class's first, 6 for ghz at
+    every qubit, and 5, 5 and 0 for phi on qubits 1, 2 and 3. A call
+    whose verdict differs from the stacked one is an ``ArithmeticError``.
+    For i < j with r(i) = r(j) the witness is W_j W_i^H, and every such
     reachable pair is re-checked at once, |<X_j, W_j W_i^H X_i>|^2 read as
     <W_j^H X_j, W_i^H X_i> from one ``einsum``, against
-    ``_WITNESS_MIN_FIDELITY``. A reachable pair with r(i) != r(j) that is
-    not one of the k calls, which only gaps chaining within ``REACH_ATOL``
-    make, is decided by a call of its own. The verdicts stay pairwise, so
-    such a chain merges no classes.
+    ``_WITNESS_MIN_FIDELITY``; with i = r(j) that re-checks the call's own
+    W_j. A reachable pair with r(i) != r(j) that is not one of those
+    calls, which only gaps chaining within ``REACH_ATOL`` make, is decided
+    by a call of its own. The verdicts stay pairwise, so such a chain
+    merges no classes.
     """
     states = catalog.states
     x = np.stack(_cofactors(states, qubit))
     grams = x.conj().transpose(0, 2, 1) @ x
     out = ~(np.abs(grams[:, None] - grams[None]).max(axis=(2, 3)) > REACH_ATOL)
     rep = out.argmax(axis=0)
-    witnesses = np.stack([_decided_witness(states, rep[j], j, qubit) for j in range(len(states))])
+    identity = np.eye(2, dtype=complex)
+    witnesses = np.stack([identity if r == j else _decided_witness(states, r, j, qubit) for j, r in enumerate(rep)])
     back = witnesses.conj().transpose(0, 2, 1) @ x
     fidelity = np.abs(np.einsum("jad,iad->ij", back.conj(), back)) ** 2
     pairs = np.triu(out, 1)

@@ -5,6 +5,7 @@ builds the full operator by conjugating a plain Kronecker product with
 an explicit basis-permutation matrix, touching none of the package's
 axis-moving code. ``every_pair_matrix`` is the reference for the
 reachability matrix: one ``reachable_by_single_qubit`` call per ordered pair.
+``recorded_calls`` lists the calls that the matrix itself makes.
 
 Property tests run under a derandomized hypothesis profile, so their
 examples, like every other sample in the suite, are the same on every run.
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
+import ghzdense.encoding as encoding_mod
 from ghzdense.encoding import reachable_by_single_qubit
 from ghzdense.qstate import StateVector
 
@@ -58,3 +60,18 @@ def every_pair_matrix(catalog, qubit: int) -> np.ndarray:
             for i in range(1, k + 1)
         ]
     )
+
+
+def recorded_calls(catalog, monkeypatch) -> list[tuple[int, int]]:
+    """Patch ``reachable_by_single_qubit`` where the reachability matrix
+    calls it, to record each call's (source, target) as 1-based catalog
+    indices, in call order."""
+    index = {id(catalog.state(i)): i for i in range(1, len(catalog) + 1)}
+    calls = []
+
+    def recording(source, target, q):
+        calls.append((index[id(source)], index[id(target)]))
+        return reachable_by_single_qubit(source, target, q)
+
+    monkeypatch.setattr(encoding_mod, "reachable_by_single_qubit", recording)
+    return calls

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import ghzdense.encoding as encoding_mod
-from conftest import every_pair_matrix, kron_embed, random_state
+from conftest import every_pair_matrix, kron_embed, random_state, recorded_calls
 from ghzdense.bases import BasisCatalog, bell_catalog, bell_state, ghz_catalog, ghz_state, phi_catalog, phi_state
 from ghzdense.encoding import (
     _ORACLE_CHUNK,
@@ -240,20 +240,6 @@ class TestReachableBySingleQubit:
             reachable_by_single_qubit(ghz_state(1), ghz_state(1), 1)
 
 
-def _recorded_calls(catalog, monkeypatch) -> list[tuple[int, int]]:
-    """Patch ``reachable_by_single_qubit`` to record each call's (source,
-    target) as 1-based catalog indices, in call order."""
-    index = {id(catalog.state(i)): i for i in range(1, len(catalog) + 1)}
-    calls = []
-
-    def recording(source, target, q):
-        calls.append((index[id(source)], index[id(target)]))
-        return reachable_by_single_qubit(source, target, q)
-
-    monkeypatch.setattr(encoding_mod, "reachable_by_single_qubit", recording)
-    return calls
-
-
 class TestReachabilityMatrix:
     def test_ghz_qubit_1_block_structure(self):
         got = reachability_matrix(ghz_catalog(), 1)
@@ -310,19 +296,28 @@ class TestReachabilityMatrix:
         assert np.array_equal(reachability_matrix(cat, qubit), every_pair_matrix(cat, qubit))
 
     @pytest.mark.parametrize("catalog_fn,qubit", CATALOG_QUBITS)
-    def test_one_witness_call_per_state_from_its_representative(self, catalog_fn, qubit, monkeypatch):
+    def test_one_witness_call_per_state_outside_its_representative(self, catalog_fn, qubit, monkeypatch):
         cat = catalog_fn()
-        calls = _recorded_calls(cat, monkeypatch)
+        calls = recorded_calls(cat, monkeypatch)
         m = reachability_matrix(cat, qubit)
         k = len(cat)
-        # State j's representative is the first state that reaches it.
+        # State j's representative is the first state that reaches it; a representative
+        # takes the identity and makes no call.
         first = [min(i for i in range(1, k + 1) if m[i - 1, j - 1]) for j in range(1, k + 1)]
-        assert calls == [(first[j - 1], j) for j in range(1, k + 1)]  # 8 for ghz and phi, 4 for bell
+        # 6 for ghz, 5, 5 and 0 for phi on qubits 1, 2 and 3, 3 for bell
+        assert calls == [(first[j - 1], j) for j in range(1, k + 1) if first[j - 1] != j]
 
     def test_ghz_qubit_1_witness_calls(self, monkeypatch):
-        calls = _recorded_calls(ghz_catalog(), monkeypatch)
+        calls = recorded_calls(ghz_catalog(), monkeypatch)
         reachability_matrix(ghz_catalog(), 1)
-        assert calls == [(1, 1), (1, 2), (1, 3), (1, 4), (5, 5), (5, 6), (5, 7), (5, 8)]
+        assert calls == [(1, 2), (1, 3), (1, 4), (5, 6), (5, 7), (5, 8)]
+
+    def test_phi_qubit_3_makes_no_witness_call(self, monkeypatch):
+        cat = phi_catalog()
+        calls = recorded_calls(cat, monkeypatch)
+        m = reachability_matrix(cat, 3)
+        assert calls == []
+        assert np.array_equal(m, np.eye(8, dtype=bool))
 
     @pytest.mark.parametrize("catalog_fn,qubit", CATALOG_QUBITS)
     def test_matrix_is_transitive(self, catalog_fn, qubit):
@@ -340,12 +335,13 @@ class TestReachabilityMatrix:
             amps[0b000], amps[0b011] = np.cos(t), np.sin(t)
             states.append(StateVector(amps))
         cat = BasisCatalog("edge", tuple(states))
-        calls = _recorded_calls(cat, monkeypatch)
+        calls = recorded_calls(cat, monkeypatch)
         m = reachability_matrix(cat, 1)
         assert np.array_equal(m, [[1, 0, 1], [0, 1, 1], [1, 1, 1]])
-        # Two witness calls from their own representatives, one from state 1, and the
-        # pair (2, 3), whose representatives differ, decided by a call of its own.
-        assert calls == [(1, 1), (2, 2), (1, 3), (2, 3)]
+        # States 1 and 2 are their own representatives and make no call, state 3's
+        # witness comes from state 1, and the pair (2, 3), whose representatives
+        # differ, is decided by a call of its own.
+        assert calls == [(1, 3), (2, 3)]
         assert np.array_equal(m, every_pair_matrix(cat, 1))
 
     def test_wrong_witness_fails_the_composed_recheck(self, monkeypatch):
@@ -370,7 +366,7 @@ class TestReachabilityMatrix:
             reachability_matrix(ghz_catalog(), 1)
 
     def test_witness_recheck_still_guards_the_matrix(self, monkeypatch):
-        # Every state's witness call re-checks its witness, the representatives' included.
+        # Every call for a state outside its class's first re-checks its witness.
         monkeypatch.setattr(encoding_mod, "_witness_fidelity", lambda witness, x, y: 0.5)
         with pytest.raises(ArithmeticError, match="witness fidelity 0.5"):
             reachability_matrix(ghz_catalog(), 1)

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from conftest import every_pair_matrix, kron_embed, random_state
+from conftest import every_pair_matrix, kron_embed, random_state, recorded_calls
 from ghzdense.bases import BasisCatalog, catalog_by_name, ghz_family
 from ghzdense.encoding import reachability_matrix
 from ghzdense.qstate import StateVector, apply_on_subset, dump_state, haar_random_unitary, load_state
@@ -125,7 +125,10 @@ def test_reachability_is_symmetric(basis, data):
 def test_reachability_matrix_equals_every_pair_decided_on_its_own(n, data):
     """Catalogs with classes of more than one state (Haar images of earlier
     states on the decided qubit) and product states, whose co-factor
-    matrices have rank 1: the matrix equals the k^2-call reference."""
+    matrices have rank 1: the matrix equals the k^2-call reference. Its
+    witness calls are the pairs (r(j), j) for each state j that is not its
+    own representative r(j), the first state that reaches it, then the
+    reachable pairs i < j with r(i) != r(j) and i != r(j) in row order."""
     qubit = data.draw(st.integers(1, n))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     states = []
@@ -141,4 +144,16 @@ def test_reachability_matrix_equals_every_pair_decided_on_its_own(n, data):
         else:
             states.append(random_state(rng, n))
     catalog = BasisCatalog("generated", tuple(states))
-    assert_array_equal(reachability_matrix(catalog, qubit), every_pair_matrix(catalog, qubit))
+    with pytest.MonkeyPatch.context() as patch:  # hypothesis rejects the function-scoped fixture
+        calls = recorded_calls(catalog, patch)
+        matrix = reachability_matrix(catalog, qubit)
+    assert_array_equal(matrix, every_pair_matrix(catalog, qubit))
+    k = len(states)
+    rep = [1 + int(np.argmax(matrix[:, j - 1])) for j in range(1, k + 1)]
+    fallback = [
+        (i, j)
+        for i in range(1, k + 1)
+        for j in range(i + 1, k + 1)
+        if matrix[i - 1, j - 1] and rep[i - 1] != rep[j - 1] and i != rep[j - 1]
+    ]
+    assert calls == [(rep[j - 1], j) for j in range(1, k + 1) if rep[j - 1] != j] + fallback
