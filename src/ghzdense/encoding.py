@@ -25,11 +25,13 @@ over all unitaries u is the nuclear norm of Y X^H, reported as the
 obstruction.
 
 Reachability by one qubit is an equivalence: its classes are the states
-with equal reduced states on the other qubits. A catalog's matrix
-compares every pair's Gram matrices in one stacked broadcast. Each
-class's first state takes the identity as its witness, and every other
-state gets its witness from one exact call from that first state; these
-compose into the witness of every other pair in the class (see
+with equal reduced states on the other qubits. The Gram test has one
+owner, :func:`_gram_gaps`, which compares every pair of a stack of
+co-factor matrices in one broadcast: a catalog's matrix reads its k x k
+gaps and a single pair's verdict its two-state case. Each class's first
+state takes the identity as its witness, and every other state gets its
+witness from one exact call from that first state; these compose into
+the witness of every other pair in the class (see
 :func:`reachability_matrix`).
 
 The sampled oracle cross-checks these verdicts by brute force. Each
@@ -115,17 +117,29 @@ class ReachabilityVerdict:
     obstruction: float | None = None
 
 
-def _cofactors(states, qubit: int) -> list[np.ndarray]:
+def _cofactors(states, qubit: int) -> np.ndarray:
     """For each state, the 2 x 2^(n-1) matrix whose rows are the
-    (unnormalized) co-factors of the |0> and |1> branches of ``qubit``:
-    one ``_split`` per state. Every state's qubit count is checked against
-    the first one's ("qubit counts differ: a vs b") before any state is
-    split, so a mismatch is reported ahead of an out-of-range ``qubit``."""
+    (unnormalized) co-factors of the |0> and |1> branches of ``qubit``,
+    stacked into one k x 2 x 2^(n-1) array: one ``_split`` per state.
+    Every state's qubit count is checked against the first one's ("qubit
+    counts differ: a vs b") before any state is split, so a mismatch is
+    reported ahead of an out-of-range ``qubit``."""
     n = states[0].n_qubits
     for state in states[1:]:
         if state.n_qubits != n:
             raise ValueError(f"qubit counts differ: {n} vs {state.n_qubits}")
-    return [_split(state, (qubit,))[1] for state in states]
+    return np.array([_split(state, (qubit,))[1] for state in states])
+
+
+def _gram_gaps(x: np.ndarray) -> np.ndarray:
+    """The Gram test's one owner: for stacked co-factor matrices ``x``
+    (k x 2 x 2^(n-1), from :func:`_cofactors`), the k x k gaps
+    max|G_i - G_j| between the column Gram matrices G = X^H X, all formed
+    in one stacked product and compared in one broadcast. A pair is
+    reachable exactly when its gap is not above ``REACH_ATOL``; the gap
+    reads the same in either order."""
+    grams = x.conj().transpose(0, 2, 1) @ x
+    return np.abs(grams[:, None] - grams[None]).max(axis=(2, 3))
 
 
 def _witness_fidelity(witness: UnitaryMatrix, x: np.ndarray, y: np.ndarray) -> float:
@@ -141,15 +155,17 @@ def reachable_by_single_qubit(
     """Decide whether some unitary on ``qubit`` alone maps ``source`` to
     ``target`` up to global phase, exactly (no sampling involved).
 
-    A positive verdict's witness is re-checked on the co-factor matrices
-    already split for the Gram test (:func:`_witness_fidelity`, with no
+    The verdict is entry [0, 1] of :func:`_gram_gaps` on the pair's two
+    stacked co-factor matrices, the two-state case of the comparison
+    :func:`reachability_matrix` makes. A positive verdict's witness is
+    re-checked on the same split (:func:`_witness_fidelity`, with no
     third split and no new state); a fidelity below
     ``_WITNESS_MIN_FIDELITY`` is an ``ArithmeticError``."""
-    x, y = _cofactors((source, target), qubit)
-    gram_gap = float(np.max(np.abs(x.conj().T @ x - y.conj().T @ y)))
+    pair = _cofactors((source, target), qubit)
+    x, y = pair
     cross = y @ x.conj().T
     w, sing, vh = np.linalg.svd(cross)
-    if gram_gap > REACH_ATOL:
+    if _gram_gaps(pair)[0, 1] > REACH_ATOL:
         return ReachabilityVerdict(reachable=False, obstruction=float(sing.sum()))
     witness = UnitaryMatrix(w @ vh)
     achieved = _witness_fidelity(witness, x, y)
@@ -180,7 +196,7 @@ def _oracle_forms(sources, targets, qubit: int) -> tuple[np.ndarray, np.ndarray]
     or swaps L's two real parts, so such pairs have the same Q bit for bit
     and score the same floats as the pair that represents their form."""
     states = list({id(s): s for s in (*sources, *targets)}.values())
-    rows, at = np.stack(_cofactors(states, qubit)), {id(s): i for i, s in enumerate(states)}
+    rows, at = _cofactors(states, qubit), {id(s): i for i, s in enumerate(states)}
     x, y = (rows[[at[id(s)] for s in group]] for group in (sources, targets))
     m00, m01, m10, m11 = np.einsum("tad,sbd->stab", y.conj(), x).reshape(-1, 4).T
     forms = np.stack((m00 + m11, 1j * (m00 - m11), m10 - m01, 1j * (m10 + m01)), axis=1)
@@ -256,29 +272,14 @@ def reachability_oracle(
     return float(_best_sampled_fidelities((source,), (target,), qubit, samples, rng_seed)[0, 0])
 
 
-def _decided_witness(states, i: int, j: int, qubit: int) -> np.ndarray:
-    """The witness of the pair (i, j), 0-based, that the stacked Gram gap
-    called reachable, from its own :func:`reachable_by_single_qubit` call
-    (its own Gram test, polar factor and re-check); a call that says
-    unreachable is an ``ArithmeticError`` naming the pair."""
-    verdict = reachable_by_single_qubit(states[i], states[j], qubit)
-    if not verdict.reachable:
-        raise ArithmeticError(
-            f"states {i + 1} and {j + 1}: the stacked Gram gap says reachable, "
-            "reachable_by_single_qubit says not"
-        )
-    return verdict.witness.entries
-
-
 def reachability_matrix(catalog: BasisCatalog, qubit: int) -> np.ndarray:
     """Boolean matrix over ordered catalog pairs: entry (i-1, j-1) says
     whether state i reaches state j through a unitary on ``qubit``.
 
-    Every state is split once and its Gram matrix G = X^H X formed in one
-    stacked product; every pair's gap max|G_i - G_j| comes from one
-    broadcast, and its verdict is ``not gap > REACH_ATOL``, the comparison
-    :func:`reachable_by_single_qubit` makes, on the same floats. The gap
-    reads the same in either order, so the matrix is symmetric.
+    Every state is split once, and every pair's verdict is
+    ``not gap > REACH_ATOL`` on the k x k gaps of :func:`_gram_gaps`, whose
+    two-state case :func:`reachable_by_single_qubit` reads. The gap reads
+    the same in either order, so the matrix is symmetric.
 
     Reachability by one qubit is an equivalence: its classes are the
     states with equal reduced states on the other qubits (Hughston, Jozsa
@@ -287,10 +288,11 @@ def reachability_matrix(catalog: BasisCatalog, qubit: int) -> np.ndarray:
     takes the exact 2 x 2 identity as its witness W_j; every other state
     gets W_j from one :func:`reachable_by_single_qubit` call from r(j) to
     j: one call per state that is not its class's first, 6 for ghz at
-    every qubit, and 5, 5 and 0 for phi on qubits 1, 2 and 3. A call
-    whose verdict differs from the stacked one is an ``ArithmeticError``.
-    For i < j with r(i) = r(j) the witness is W_j W_i^H, and every such
-    reachable pair is re-checked at once, |<X_j, W_j W_i^H X_i>|^2 read as
+    every qubit, and 5, 5 and 0 for phi on qubits 1, 2 and 3. Each call
+    decides its pair from the same gap on the same split, so it agrees
+    with the matrix and its witness is read directly. For i < j with
+    r(i) = r(j) the witness is W_j W_i^H, and every such reachable pair is
+    re-checked at once, |<X_j, W_j W_i^H X_i>|^2 read as
     <W_j^H X_j, W_i^H X_i> from one ``einsum``, against
     ``_WITNESS_MIN_FIDELITY``; with i = r(j) that re-checks the call's own
     W_j. A reachable pair with r(i) != r(j) that is not one of those
@@ -299,12 +301,12 @@ def reachability_matrix(catalog: BasisCatalog, qubit: int) -> np.ndarray:
     merges no classes.
     """
     states = catalog.states
-    x = np.stack(_cofactors(states, qubit))
-    grams = x.conj().transpose(0, 2, 1) @ x
-    out = ~(np.abs(grams[:, None] - grams[None]).max(axis=(2, 3)) > REACH_ATOL)
+    x = _cofactors(states, qubit)
+    out = ~(_gram_gaps(x) > REACH_ATOL)
     rep = out.argmax(axis=0)
     identity = np.eye(2, dtype=complex)
-    witnesses = np.stack([identity if r == j else _decided_witness(states, r, j, qubit) for j, r in enumerate(rep)])
+    witnesses = np.stack([identity if r == j else reachable_by_single_qubit(states[r], states[j], qubit).witness.entries
+                          for j, r in enumerate(rep)])
     back = witnesses.conj().transpose(0, 2, 1) @ x
     fidelity = np.abs(np.einsum("jad,iad->ij", back.conj(), back)) ** 2
     pairs = np.triu(out, 1)
@@ -316,7 +318,7 @@ def reachability_matrix(catalog: BasisCatalog, qubit: int) -> np.ndarray:
         )
     for i, j in np.argwhere(pairs & ~composed):
         if i != rep[j]:
-            _decided_witness(states, i, j, qubit)
+            reachable_by_single_qubit(states[i], states[j], qubit)
     return out
 
 

@@ -5,6 +5,8 @@ builds the full operator by conjugating a plain Kronecker product with
 an explicit basis-permutation matrix, touching none of the package's
 axis-moving code. ``every_pair_matrix`` is the reference for the
 reachability matrix: one ``reachable_by_single_qubit`` call per ordered pair.
+``reduced_state_matrix`` decides the same pairs from partial traces alone,
+touching neither the package's split nor its Gram gap.
 ``recorded_calls`` lists the calls that the matrix itself makes.
 
 Property tests run under a derandomized hypothesis profile, so their
@@ -16,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 import ghzdense.encoding as encoding_mod
-from ghzdense.encoding import reachable_by_single_qubit
+from ghzdense.encoding import REACH_ATOL, reachable_by_single_qubit
 from ghzdense.qstate import StateVector
 
 try:
@@ -60,6 +62,28 @@ def every_pair_matrix(catalog, qubit: int) -> np.ndarray:
             for i in range(1, k + 1)
         ]
     )
+
+
+def reduced_state(state: StateVector, qubit: int) -> np.ndarray:
+    """The reduced state on every qubit but ``qubit``, as a 2^(n-1) square
+    matrix: the partial trace of the (2,)*n amplitude tensor by one
+    ``np.einsum``, ket indices lower-case and bra indices upper-case, the
+    traced qubit's shared."""
+    n = state.n_qubits
+    ket = "abcdefghijklmnopqrstuvwxyz"[:n]
+    bra = "".join(c if i == qubit - 1 else c.upper() for i, c in enumerate(ket))
+    rest = ket.replace(ket[qubit - 1], "")
+    tensor = state.amplitudes.reshape((2,) * n)
+    return np.einsum(f"{ket},{bra}->{rest}{rest.upper()}", tensor, tensor.conj()).reshape(2 ** (n - 1), -1)
+
+
+def reduced_state_matrix(catalog, qubit: int) -> np.ndarray:
+    """Reachability from the reduced states alone: state i reaches state j
+    through a unitary on ``qubit`` iff their reduced states on the other
+    qubits are equal (Hughston, Jozsa and Wootters, Phys. Lett. A 183:14,
+    1993), here within ``REACH_ATOL``."""
+    reduced = [reduced_state(state, qubit) for state in catalog.states]
+    return np.array([[not np.abs(a - b).max() > REACH_ATOL for b in reduced] for a in reduced])
 
 
 def recorded_calls(catalog, monkeypatch) -> list[tuple[int, int]]:

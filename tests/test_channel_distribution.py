@@ -177,6 +177,42 @@ def test_mean_diagonal_is_the_closed_form_rate(name, p):
     assert np.trace(dist) / len(dist) == pytest.approx(_closed_form_rate(name, p), abs=1e-12)
 
 
+def _walsh_hadamard_row(family, channel: ChannelConfig) -> np.ndarray:
+    """Message 1's readout distribution R as a Walsh-Hadamard transform,
+    folding nothing: R = H (chi * prod_q lambda_q) / 2^n, with H[r, s] =
+    (-1)^(r . s) the Sylvester-Hadamard matrix, chi = H[base] the
+    transform of weight 1 on message 1's error-free readout, and
+    lambda_q = w_I + w_X H[x] + w_Y H[x ^ z] + w_Z H[z] from qubit q's row
+    of ``_pauli_tables`` and its syndromes from ``ghzmeasure._syndromes``.
+    Then relabelled into every row by XOR."""
+    n = family.catalog.n_qubits
+    labels = np.array([int(bits, 2) for bits in family.decode_table])
+    readouts = np.arange(2**n)
+    hadamard = np.array([[(-1) ** bin(r & s).count("1") for s in readouts] for r in readouts], dtype=float)
+    spectrum = hadamard[labels[0]].copy()
+    for (w_i, w_x, w_y, w_z), q in zip(protocol._pauli_tables(family, channel), family.transit):
+        x, z = ghzmeasure._syndromes(n, q)
+        spectrum *= w_i + w_x * hadamard[x] + w_y * hadamard[x ^ z] + w_z * hadamard[z]
+    row = hadamard @ spectrum / 2**n
+    return row[labels[:, None] ^ labels ^ labels[0]]
+
+
+@pytest.mark.parametrize("name", PROTOCOL_NAMES)
+def test_decode_distribution_equals_its_closed_forms_on_a_grid(name):
+    """Two references that share no code with the fold, on 2001 values of
+    p in [0, 1]: every diagonal entry is the success rate
+    (1/2)[(1 - 2p/3)^(n-1) + (1 - 4p/3)^(n-1)], and the whole distribution
+    is the Walsh-Hadamard row, both to 1e-12."""
+    family = _family(name)
+    n = family.catalog.n_qubits
+    for p in np.linspace(0.0, 1.0, 2001):
+        channel = ChannelConfig(pauli_error_prob=p)
+        dist = _decode_distribution(family, channel)
+        rate = ((1 - 2 * p / 3) ** (n - 1) + (1 - 4 * p / 3) ** (n - 1)) / 2
+        assert_allclose(np.diag(dist), rate, rtol=0, atol=1e-12, err_msg=f"p = {p}")
+        assert_allclose(dist, _walsh_hadamard_row(family, channel), rtol=0, atol=1e-12, err_msg=f"p = {p}")
+
+
 def test_full_noise_rate_matches_exhaustive_enumeration():
     dist = _full_distribution("ghz3", ChannelConfig(pauli_error_prob=1.0))
     rate = np.trace(dist) / 8

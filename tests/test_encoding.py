@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import ghzdense.encoding as encoding_mod
-from conftest import every_pair_matrix, kron_embed, random_state, recorded_calls
+from conftest import every_pair_matrix, kron_embed, random_state, recorded_calls, reduced_state_matrix
 from ghzdense.bases import BasisCatalog, bell_catalog, bell_state, ghz_catalog, ghz_state, phi_catalog, phi_state
 from ghzdense.encoding import (
     _ORACLE_CHUNK,
@@ -296,6 +296,25 @@ class TestReachabilityMatrix:
         assert np.array_equal(reachability_matrix(cat, qubit), every_pair_matrix(cat, qubit))
 
     @pytest.mark.parametrize("catalog_fn,qubit", CATALOG_QUBITS)
+    def test_equals_the_reduced_state_reference(self, catalog_fn, qubit):
+        # The reference touches neither the split nor the Gram gap: equal partial traces.
+        cat = catalog_fn()
+        want = reduced_state_matrix(cat, qubit)
+        assert np.array_equal(reachability_matrix(cat, qubit), want)
+        for i, source in enumerate(cat.states):
+            for j, target in enumerate(cat.states):
+                assert reachable_by_single_qubit(source, target, qubit).reachable == want[i, j], (i + 1, j + 1)
+
+    def test_gram_matrices_differing_only_in_their_imaginary_part(self):
+        # |+i>|0> and |-i>|0> on qubit 2: the reduced states on qubit 1 are complex conjugates.
+        plus_i = np.array([1, 1j]) / np.sqrt(2)
+        states = tuple(StateVector(np.kron(v, [1, 0])) for v in (plus_i, plus_i.conj()))
+        cat = BasisCatalog("conjugates", states)
+        assert not reachable_by_single_qubit(*states, 2).reachable
+        assert np.array_equal(reachability_matrix(cat, 2), np.eye(2, dtype=bool))
+        assert np.array_equal(reduced_state_matrix(cat, 2), np.eye(2, dtype=bool))
+
+    @pytest.mark.parametrize("catalog_fn,qubit", CATALOG_QUBITS)
     def test_one_witness_call_per_state_outside_its_representative(self, catalog_fn, qubit, monkeypatch):
         cat = catalog_fn()
         calls = recorded_calls(cat, monkeypatch)
@@ -353,16 +372,6 @@ class TestReachabilityMatrix:
 
         monkeypatch.setattr(encoding_mod, "reachable_by_single_qubit", pauli_x_off_diagonal)
         with pytest.raises(ArithmeticError, match=r"^states \d and \d: composed witness fidelity"):
-            reachability_matrix(ghz_catalog(), 1)
-
-    def test_call_disagreeing_with_the_stacked_gap_raises(self, monkeypatch):
-        def unreachable_off_diagonal(source, target, q):
-            if source is target:
-                return reachable_by_single_qubit(source, target, q)
-            return ReachabilityVerdict(reachable=False, obstruction=0.0)
-
-        monkeypatch.setattr(encoding_mod, "reachable_by_single_qubit", unreachable_off_diagonal)
-        with pytest.raises(ArithmeticError, match="^states 1 and 2: the stacked Gram gap says reachable"):
             reachability_matrix(ghz_catalog(), 1)
 
     def test_witness_recheck_still_guards_the_matrix(self, monkeypatch):

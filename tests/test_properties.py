@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from conftest import every_pair_matrix, kron_embed, random_state, recorded_calls
+from conftest import every_pair_matrix, kron_embed, random_state, recorded_calls, reduced_state_matrix
 from ghzdense.bases import BasisCatalog, catalog_by_name, ghz_family
 from ghzdense.encoding import reachability_matrix
 from ghzdense.qstate import StateVector, apply_on_subset, dump_state, haar_random_unitary, load_state
@@ -125,10 +125,12 @@ def test_reachability_is_symmetric(basis, data):
 def test_reachability_matrix_equals_every_pair_decided_on_its_own(n, data):
     """Catalogs with classes of more than one state (Haar images of earlier
     states on the decided qubit) and product states, whose co-factor
-    matrices have rank 1: the matrix equals the k^2-call reference. Its
-    witness calls are the pairs (r(j), j) for each state j that is not its
-    own representative r(j), the first state that reaches it, then the
-    reachable pairs i < j with r(i) != r(j) and i != r(j) in row order."""
+    matrices have rank 1: the matrix equals the k^2-call reference and the
+    partial-trace reference, which touches neither the split nor the Gram
+    gap. Its witness calls are the pairs (r(j), j) for each state j that
+    is not its own representative r(j), the first state that reaches it,
+    then the reachable pairs i < j with r(i) != r(j) and i != r(j) in row
+    order."""
     qubit = data.draw(st.integers(1, n))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     states = []
@@ -148,6 +150,7 @@ def test_reachability_matrix_equals_every_pair_decided_on_its_own(n, data):
         calls = recorded_calls(catalog, patch)
         matrix = reachability_matrix(catalog, qubit)
     assert_array_equal(matrix, every_pair_matrix(catalog, qubit))
+    assert_array_equal(matrix, reduced_state_matrix(catalog, qubit))
     k = len(states)
     rep = [1 + int(np.argmax(matrix[:, j - 1])) for j in range(1, k + 1)]
     fallback = [

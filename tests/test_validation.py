@@ -142,6 +142,16 @@ CONTRADICTORY_REPORTS = {
     "decoded_histogram not summing to trials": {"decoded_histogram": [*REPORT["decoded_histogram"][:-1], 11]},
     "expected_success_rate=7.0": {"expected_success_rate": 7.0},
     "bits_per_transmitted_qubit='2.0'": {"bits_per_transmitted_qubit": "2.0"},
+    "successes=10 with no message decoded as itself": {
+        "messages_histogram": [10, 0, 0, 0],
+        "decoded_histogram": [0, 10, 0, 0],
+    },
+    "successes=0 with every message decoded as itself": {
+        "successes": 0,
+        "success_rate": 0.0,
+        "messages_histogram": [10, 0, 0, 0],
+        "decoded_histogram": [10, 0, 0, 0],
+    },
     "trials=2**70 with histograms to match": {
         "trials": 2**70,
         "successes": 2**70,
@@ -369,6 +379,23 @@ def test_a_contradicting_report_names_the_field_not_the_payload():
     with pytest.raises(ValueError) as caught:
         TrialReport.from_json_dict(payload)
     assert str(caught.value) == "trial report contradicts itself: decoded_histogram"
+
+
+def test_successes_outside_the_histograms_bounds_name_the_rule():
+    payload = {**REPORT, "messages_histogram": [10, 0, 0, 0], "decoded_histogram": [0, 10, 0, 0]}
+    with pytest.raises(ValueError) as caught:
+        TrialReport.from_json_dict(payload)
+    assert str(caught.value) == "trial report contradicts itself: successes"
+
+
+@pytest.mark.parametrize("protocol", ["ghz3", "bell2"])
+@pytest.mark.parametrize("message", [None, 1, 3])
+@pytest.mark.parametrize("p", [0.0, 0.1, 0.5, 1.0])
+def test_sampled_reports_meet_the_successes_bounds(protocol, message, p):
+    # Every counts matrix has sum max(0, s_m + d_m - trials) <= trace <= sum min(s_m, d_m).
+    for trials in (1, 7, 1000):
+        payload = run_trials(protocol, trials, ChannelConfig(p, 11), message).to_json_dict()
+        assert TrialReport.from_json_dict(payload).to_json_dict() == payload
 
 
 def test_trial_report_at_the_trial_ceiling_round_trips():
