@@ -25,14 +25,16 @@ over all unitaries u is the nuclear norm of Y X^H, reported as the
 obstruction.
 
 Reachability by one qubit is an equivalence: its classes are the states
-with equal reduced states on the other qubits. The Gram test has one
-owner, :func:`_gram_gaps`, which compares every pair of a stack of
-co-factor matrices in one broadcast: a catalog's matrix reads its k x k
-gaps and a single pair's verdict its two-state case. Each class's first
-state takes the identity as its witness, and every other state gets its
-witness from one exact call from that first state; these compose into
-the witness of every other pair in the class (see
-:func:`reachability_matrix`).
+with equal reduced states on the other qubits. Each pairwise quantity
+has one owner, which scores every ordered pair of one stack of k states
+at once: the Gram gap in :func:`_gram_gaps`, the witness re-check in
+:func:`_witness_fidelities` and the sampled oracle in
+:func:`_best_sampled_fidelities`. A catalog's matrix reads the k x k
+case, and a single pair's function reads entry [0, 1] of the two-state
+case (source, target). Each class's first state takes the identity as
+its witness, and every other state gets its witness from one exact call
+from that first state; these compose into the witness of every other
+pair in the class (see :func:`reachability_matrix`).
 
 The sampled oracle cross-checks these verdicts by brute force. Each
 sample is a row g of four normals, whose direction is a unit quaternion,
@@ -50,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bases import BasisCatalog, Protocol, ghz_family
-from .qstate import StateVector, UnitaryMatrix, _checked, _rng, _split, apply_on_subset
+from .qstate import IDENTITY, StateVector, UnitaryMatrix, _checked, _rng, _split, apply_on_subset
 
 REACH_ATOL = 1e-10  # Gram comparisons accumulate a few products
 _WITNESS_MIN_FIDELITY = 1.0 - 1e-9
@@ -142,11 +144,15 @@ def _gram_gaps(x: np.ndarray) -> np.ndarray:
     return np.abs(grams[:, None] - grams[None]).max(axis=(2, 3))
 
 
-def _witness_fidelity(witness: UnitaryMatrix, x: np.ndarray, y: np.ndarray) -> float:
-    """|<target| (witness (x) 1) |source>|^2, read off the co-factor matrices
-    X and Y of source and target: the witness acts on the rows, so the moved
-    source is witness @ X in the same split as Y, and no state is built."""
-    return float(abs(np.vdot(y, witness.entries @ x)) ** 2)
+def _witness_fidelities(witnesses: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The witness re-check's one owner: for stacked 2 x 2 witnesses W
+    (k x 2 x 2) and co-factor matrices ``x`` (k x 2 x 2^(n-1), from
+    :func:`_cofactors`), the k x k fidelities |<X_j, W_j W_i^H X_i>|^2 of
+    the composed witness W_j W_i^H from state i to state j, read as
+    |<W_j^H X_j, W_i^H X_i>|^2 from one stacked product and one ``einsum``.
+    The witnesses act on the rows of the split, so no state is built."""
+    back = witnesses.conj().transpose(0, 2, 1) @ x
+    return np.abs(np.einsum("jad,iad->ij", back.conj(), back)) ** 2
 
 
 def reachable_by_single_qubit(
@@ -157,18 +163,19 @@ def reachable_by_single_qubit(
 
     The verdict is entry [0, 1] of :func:`_gram_gaps` on the pair's two
     stacked co-factor matrices, the two-state case of the comparison
-    :func:`reachability_matrix` makes. A positive verdict's witness is
-    re-checked on the same split (:func:`_witness_fidelity`, with no
-    third split and no new state); a fidelity below
-    ``_WITNESS_MIN_FIDELITY`` is an ``ArithmeticError``."""
+    :func:`reachability_matrix` makes. A positive verdict's witness W is
+    re-checked on the same split, with no third split and no new state:
+    entry [0, 1] of :func:`_witness_fidelities` on the witness stack
+    (identity, W), the pair as the matrix treats a class's first state and
+    one other. A fidelity below ``_WITNESS_MIN_FIDELITY`` is an
+    ``ArithmeticError``."""
     pair = _cofactors((source, target), qubit)
     x, y = pair
-    cross = y @ x.conj().T
-    w, sing, vh = np.linalg.svd(cross)
+    w, sing, vh = np.linalg.svd(y @ x.conj().T)
     if _gram_gaps(pair)[0, 1] > REACH_ATOL:
         return ReachabilityVerdict(reachable=False, obstruction=float(sing.sum()))
     witness = UnitaryMatrix(w @ vh)
-    achieved = _witness_fidelity(witness, x, y)
+    achieved = _witness_fidelities(np.array((IDENTITY.entries, witness.entries)), pair)[0, 1]
     if achieved < _WITNESS_MIN_FIDELITY:
         raise ArithmeticError(
             f"witness fidelity {achieved} below {_WITNESS_MIN_FIDELITY}; "
@@ -177,28 +184,28 @@ def reachable_by_single_qubit(
     return ReachabilityVerdict(reachable=True, witness=witness)
 
 
-def _oracle_forms(sources, targets, qubit: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each (source, target) pair's fidelity under a unitary on ``qubit``,
-    as a real quadratic form on the unit quaternions: the distinct forms'
-    contiguous 2c x 4 rows (c real parts of L, then c imaginary parts) and,
-    per pair in row-major order, the index of its form.
+def _oracle_forms(states, qubit: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each ordered (source, target) pair of ``states``' fidelity under a
+    unitary on ``qubit``, as a real quadratic form on the unit quaternions:
+    the distinct forms' contiguous 2c x 4 rows (c real parts of L, then c
+    imaginary parts) and, per pair in row-major order, the index of its
+    form.
 
     The overlap <target| (u (x) 1) |source> is sum_ab u_ab M_ab with
     M = conj(Y) X^T, every pair's M from one ``einsum`` over the stacked
-    co-factors (each distinct state object split once: 8 splits for the
-    ghz matrix, not 128). For a row g of four reals, alpha = g0 + i g1 and
-    beta = g2 + i g3, the unitary u = [[alpha, -conj beta], [beta,
-    conj alpha]] / |g| has overlap g . L / |g|, with L = (M00 + M11,
-    i(M00 - M11), M10 - M01, i(M10 + M01)), so the fidelity is
-    g^T Q g / |g|^2 with Q = Re L Re L^T + Im L Im L^T, of rank at most 2.
+    co-factors (each state split once: 8 splits for the ghz matrix, not
+    128, and 2 for a single pair). For a row g of four reals,
+    alpha = g0 + i g1 and beta = g2 + i g3, the unitary u = [[alpha,
+    -conj beta], [beta, conj alpha]] / |g| has overlap g . L / |g|, with
+    L = (M00 + M11, i(M00 - M11), M10 - M01, i(M10 + M01)), so the
+    fidelity is g^T Q g / |g|^2 with Q = Re L Re L^T + Im L Im L^T, of
+    rank at most 2.
     Q cannot see M's phase, so pairs are deduplicated by Q: 5 distinct
     forms of the 64 ghz pairs. A phase of -1, i or -i on M only negates
     or swaps L's two real parts, so such pairs have the same Q bit for bit
     and score the same floats as the pair that represents their form."""
-    states = list({id(s): s for s in (*sources, *targets)}.values())
-    rows, at = _cofactors(states, qubit), {id(s): i for i, s in enumerate(states)}
-    x, y = (rows[[at[id(s)] for s in group]] for group in (sources, targets))
-    m00, m01, m10, m11 = np.einsum("tad,sbd->stab", y.conj(), x).reshape(-1, 4).T
+    x = _cofactors(states, qubit)
+    m00, m01, m10, m11 = np.einsum("tad,sbd->stab", x.conj(), x).reshape(-1, 4).T
     forms = np.stack((m00 + m11, 1j * (m00 - m11), m10 - m01, 1j * (m10 + m01)), axis=1)
     re, im = forms.real, forms.imag
     quadratic = re[:, :, None] * re[:, None] + im[:, :, None] * im[:, None] + 0.0  # + 0.0 turns -0.0 into 0.0
@@ -208,11 +215,12 @@ def _oracle_forms(sources, targets, qubit: int) -> tuple[np.ndarray, np.ndarray]
     return np.concatenate((re[first], im[first])), which
 
 
-def _best_sampled_fidelities(sources, targets, qubit: int, samples, rng_seed) -> np.ndarray:
-    """Best fidelity (up to phase) for every (source, target) pair, as a
-    len(sources) x len(targets) array, over one shared set of ``samples``
-    Haar-random unitaries on ``qubit``: the one scorer behind both oracle
-    functions.
+def _best_sampled_fidelities(states, qubit: int, samples, rng_seed) -> np.ndarray:
+    """Best fidelity (up to phase) for every ordered (source, target) pair
+    of ``states``, as a k x k array, over one shared set of ``samples``
+    Haar-random unitaries on ``qubit``: the sampled oracle's one owner. A
+    catalog's matrix reads the k x k case and a single pair's oracle entry
+    [0, 1] of its two-state case.
 
     Each sample is a row g of four standard normals, whose direction
     g / |g| is uniform on the 3-sphere, the unit quaternions (Muller,
@@ -230,7 +238,7 @@ def _best_sampled_fidelities(sources, targets, qubit: int, samples, rng_seed) ->
     normalised copy of the draws nor a unitary is built.
     """
     samples = _checked(samples, "samples", 1, _MAX_SAMPLES)
-    rows, which = _oracle_forms(sources, targets, qubit)
+    rows, which = _oracle_forms(states, qubit)
     count = rows.shape[0] // 2
     rng = _rng(rng_seed)
     size = min(samples, _ORACLE_CHUNK)
@@ -246,7 +254,7 @@ def _best_sampled_fidelities(sources, targets, qubit: int, samples, rng_seed) ->
         scores = np.add(parts[:count], parts[count:], out=parts[:count])
         np.divide(scores, np.einsum("ij,ij->i", g, g, out=norms2[:n]), out=scores)
         np.maximum(best, scores.max(axis=1), out=best)
-    return best[which].reshape(len(sources), len(targets))
+    return best[which].reshape(len(states), len(states))
 
 
 def reachability_oracle(
@@ -265,11 +273,12 @@ def reachability_oracle(
     running until killed.
     ``rng_seed`` is an integer seed >= 0 or a ``numpy.random.Generator``;
     anything else, bools and floats included, is a ``ValueError``.
-    Results are a deterministic function of the arguments. This is the
-    1 x 1 case of :func:`reachability_oracle_matrix`: the same seed
-    draws the same unitaries in both.
+    Results are a deterministic function of the arguments. This is entry
+    [0, 1] of :func:`_best_sampled_fidelities` on the two states (source,
+    target), the two-state case of :func:`reachability_oracle_matrix`: the
+    same seed draws the same unitaries in both.
     """
-    return float(_best_sampled_fidelities((source,), (target,), qubit, samples, rng_seed)[0, 0])
+    return float(_best_sampled_fidelities((source, target), qubit, samples, rng_seed)[0, 1])
 
 
 def reachability_matrix(catalog: BasisCatalog, qubit: int) -> np.ndarray:
@@ -292,23 +301,22 @@ def reachability_matrix(catalog: BasisCatalog, qubit: int) -> np.ndarray:
     decides its pair from the same gap on the same split, so it agrees
     with the matrix and its witness is read directly. For i < j with
     r(i) = r(j) the witness is W_j W_i^H, and every such reachable pair is
-    re-checked at once, |<X_j, W_j W_i^H X_i>|^2 read as
-    <W_j^H X_j, W_i^H X_i> from one ``einsum``, against
-    ``_WITNESS_MIN_FIDELITY``; with i = r(j) that re-checks the call's own
-    W_j. A reachable pair with r(i) != r(j) that is not one of those
-    calls, which only gaps chaining within ``REACH_ATOL`` make, is decided
-    by a call of its own. The verdicts stay pairwise, so such a chain
-    merges no classes.
+    re-checked at once against ``_WITNESS_MIN_FIDELITY``, on the k x k
+    fidelities of :func:`_witness_fidelities`, whose two-state case
+    :func:`reachable_by_single_qubit` reads; with i = r(j) that re-checks
+    the call's own W_j. A reachable pair with r(i) != r(j) that is not
+    one of those calls, which only gaps chaining within ``REACH_ATOL``
+    make, is decided by a call of its own. The verdicts stay pairwise, so
+    such a chain merges no classes.
     """
     states = catalog.states
     x = _cofactors(states, qubit)
     out = ~(_gram_gaps(x) > REACH_ATOL)
     rep = out.argmax(axis=0)
-    identity = np.eye(2, dtype=complex)
-    witnesses = np.stack([identity if r == j else reachable_by_single_qubit(states[r], states[j], qubit).witness.entries
+    witnesses = np.array([IDENTITY.entries if r == j
+                          else reachable_by_single_qubit(states[r], states[j], qubit).witness.entries
                           for j, r in enumerate(rep)])
-    back = witnesses.conj().transpose(0, 2, 1) @ x
-    fidelity = np.abs(np.einsum("jad,iad->ij", back.conj(), back)) ** 2
+    fidelity = _witness_fidelities(witnesses, x)
     pairs = np.triu(out, 1)
     composed = pairs & (rep[:, None] == rep[None])
     for i, j in np.argwhere(composed & (fidelity < _WITNESS_MIN_FIDELITY)):
@@ -329,9 +337,11 @@ def reachability_oracle_matrix(
 
     One stream from ``rng_seed`` (an integer >= 0 or a
     ``numpy.random.Generator``) draws one set of ``samples`` unitaries,
-    and every pair is scored against that shared set, so entry
-    (i-1, j-1) equals ``reachability_oracle(catalog.state(i),
-    catalog.state(j), qubit, samples, rng_seed)``. Because the pairs share
-    their draws, an unlucky set lowers every reachable entry together.
+    and every pair is scored against that shared set: this is the k x k
+    case of :func:`_best_sampled_fidelities`, whose two-state case
+    :func:`reachability_oracle` reads, so entry (i-1, j-1) equals
+    ``reachability_oracle(catalog.state(i), catalog.state(j), qubit,
+    samples, rng_seed)``. Because the pairs share their draws, an unlucky
+    set lowers every reachable entry together.
     """
-    return _best_sampled_fidelities(catalog.states, catalog.states, qubit, samples, rng_seed)
+    return _best_sampled_fidelities(catalog.states, qubit, samples, rng_seed)
