@@ -57,10 +57,11 @@ from .qstate import IDENTITY, StateVector, UnitaryMatrix, _checked, _rng, _split
 REACH_ATOL = 1e-10  # Gram comparisons accumulate a few products
 _WITNESS_MIN_FIDELITY = 1.0 - 1e-9
 _ORACLE_SAMPLES = 10_000  # the oracle's default sample count, the command line's too
-_MAX_SAMPLES = 10**8  # oracle samples per call: 12-15 s for a catalog on a 2-vCPU Xeon
-# Samples per draw and scoring product: it bounds the normals at 1024 x 4
-# (32 KB) and the squared projections at 2c x 1024 for c distinct forms
-# (115 KB for phi's 7), and the per-chunk calls stay few.
+_MAX_SAMPLES = 10**8  # oracle samples per call: 9-12 s for a catalog on a 2-vCPU Xeon
+# Samples per draw and scoring product. It bounds each chunk's temporaries:
+# the normals at 1024 x 4 (32 KB), the squared projections at 2c x 1024 and
+# the scores at c x 1024 for c distinct forms (115 KB and 57 KB for phi's
+# 7), while the per-chunk calls stay few.
 _ORACLE_CHUNK = 1024
 
 _GHZ, _BELL = ghz_family(3), ghz_family(2)
@@ -164,11 +165,17 @@ def reachable_by_single_qubit(
     The verdict is entry [0, 1] of :func:`_gram_gaps` on the pair's two
     stacked co-factor matrices, the two-state case of the comparison
     :func:`reachability_matrix` makes. A positive verdict's witness W is
-    re-checked on the same split, with no third split and no new state:
-    entry [0, 1] of :func:`_witness_fidelities` on the witness stack
-    (identity, W), the pair as the matrix treats a class's first state and
-    one other. A fidelity below ``_WITNESS_MIN_FIDELITY`` is an
-    ``ArithmeticError``."""
+    re-checked on the pair's own two splits, building no state: entry
+    [0, 1] of :func:`_witness_fidelities` on the witness stack (identity,
+    W), the pair as the matrix treats a class's first state and one other.
+    A fidelity below ``_WITNESS_MIN_FIDELITY`` is an ``ArithmeticError``.
+
+    Each call compares a two-state stack and re-checks the whole stack
+    (identity, W), not the one pair alone: a reachable ghz verdict took
+    63 us against 55-59 us for a re-check of W alone (2-vCPU Xeon). A
+    caller that loops over the pairs of a catalog should call
+    :func:`reachability_matrix`, which splits each state once and calls
+    this only for a state that is not its class's first."""
     pair = _cofactors((source, target), qubit)
     x, y = pair
     w, sing, vh = np.linalg.svd(y @ x.conj().T)
@@ -193,8 +200,8 @@ def _oracle_forms(states, qubit: int) -> tuple[np.ndarray, np.ndarray]:
 
     The overlap <target| (u (x) 1) |source> is sum_ab u_ab M_ab with
     M = conj(Y) X^T, every pair's M from one ``einsum`` over the stacked
-    co-factors (each state split once: 8 splits for the ghz matrix, not
-    128, and 2 for a single pair). For a row g of four reals,
+    co-factors (each state split once: 8 splits for the ghz matrix and 2
+    for a single pair). For a row g of four reals,
     alpha = g0 + i g1 and beta = g2 + i g3, the unitary u = [[alpha,
     -conj beta], [beta, conj alpha]] / |g| has overlap g . L / |g|, with
     L = (M00 + M11, i(M00 - M11), M10 - M01, i(M10 + M01)), so the
@@ -229,30 +236,25 @@ def _best_sampled_fidelities(states, qubit: int, samples, rng_seed) -> np.ndarra
     which no fidelity can see, so the best scores have the distribution
     Haar draws on U(2) would give. The samples are drawn ``_ORACLE_CHUNK``
     rows at a time from the one stream, which yields the same normals as
-    one draw of them all, into buffers allocated once per call. Each chunk
-    scores every distinct form in real arithmetic on the raw normals: one
-    (2c, 4) @ (4, chunk) product of the forms' contiguous rows and the
-    draws, squared and its two row halves added in place, gives the c sums
-    g^T Q g, each divided by |g|^2 (one ``einsum`` per chunk) and reduced
-    along its own contiguous row into the running max. Neither a
-    normalised copy of the draws nor a unitary is built.
+    one draw of them all. Each chunk scores every distinct form in real
+    arithmetic on the raw normals: one (2c, 4) @ (4, chunk) product of the
+    forms' contiguous rows and the draws, squared in place and its two row
+    halves added, gives the c sums g^T Q g, each divided in place by
+    |g|^2 (one ``einsum`` per chunk) and reduced along its own contiguous
+    row into the running max. Neither a normalised copy of the draws nor a
+    unitary is built.
     """
     samples = _checked(samples, "samples", 1, _MAX_SAMPLES)
     rows, which = _oracle_forms(states, qubit)
     count = rows.shape[0] // 2
     rng = _rng(rng_seed)
-    size = min(samples, _ORACLE_CHUNK)
-    # Flat so that a short last chunk's products are a contiguous prefix too.
-    draws, products, norms2 = np.empty((size, 4)), np.empty(2 * count * size), np.empty(size)
     best = np.zeros(count)
-    for start in range(0, samples, size):
-        n = min(samples - start, size)
-        g, parts = draws[:n], products[: 2 * count * n].reshape(2 * count, n)
-        rng.standard_normal(out=g)
-        np.matmul(rows, g.T, out=parts)
-        np.square(parts, out=parts)
-        scores = np.add(parts[:count], parts[count:], out=parts[:count])
-        np.divide(scores, np.einsum("ij,ij->i", g, g, out=norms2[:n]), out=scores)
+    for start in range(0, samples, _ORACLE_CHUNK):
+        g = rng.standard_normal((min(samples - start, _ORACLE_CHUNK), 4))
+        parts = rows @ g.T
+        parts *= parts
+        scores = parts[:count] + parts[count:]
+        scores /= np.einsum("ij,ij->i", g, g)
         np.maximum(best, scores.max(axis=1), out=best)
     return best[which].reshape(len(states), len(states))
 
@@ -268,7 +270,7 @@ def reachability_oracle(
     apply ``samples`` Haar-random unitaries to ``qubit`` of ``source`` and
     return the best fidelity (up to phase) against ``target`` seen.
 
-    ``samples`` is an integer in [1, 10^8]; the ceiling, 12-15 s of
+    ``samples`` is an integer in [1, 10^8]; the ceiling, 9-12 s of
     sampling for a catalog on a 2-vCPU Xeon, keeps a mistyped count from
     running until killed.
     ``rng_seed`` is an integer seed >= 0 or a ``numpy.random.Generator``;
@@ -277,6 +279,13 @@ def reachability_oracle(
     [0, 1] of :func:`_best_sampled_fidelities` on the two states (source,
     target), the two-state case of :func:`reachability_oracle_matrix`: the
     same seed draws the same unitaries in both.
+
+    Each call scores the forms of all 4 ordered pairs of that two-state
+    stack, the diagonal pairs included, not the one pair alone: a ghz
+    (1, 2) call at 10^4 samples took 7-12% longer than scoring that pair
+    alone (2-vCPU Xeon). A caller that loops over the pairs of a catalog
+    should call :func:`reachability_oracle_matrix`, which draws one set of
+    samples and scores each distinct form once.
     """
     return float(_best_sampled_fidelities((source, target), qubit, samples, rng_seed)[0, 1])
 

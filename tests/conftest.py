@@ -8,6 +8,10 @@ reachability matrix: one ``reachable_by_single_qubit`` call per ordered pair.
 ``reduced_state_matrix`` decides the same pairs from partial traces alone,
 touching neither the package's split nor its Gram gap.
 ``recorded_calls`` lists the calls that the matrix itself makes.
+``integer_signs`` rebuilds each named catalog's amplitudes as integer
+signs from the catalog's own rule, and ``exact_gaps`` takes every pair's
+Gram gap from them in ``Fraction``s: the Gram test with no tolerance,
+touching no numpy and no ``_split``.
 
 Property tests run under a derandomized hypothesis profile, so their
 examples, like every other sample in the suite, are the same on every run.
@@ -15,9 +19,12 @@ examples, like every other sample in the suite, are the same on every run.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 
 import ghzdense.encoding as encoding_mod
+from ghzdense.bases import _PHI_SIGNS
 from ghzdense.encoding import REACH_ATOL, reachable_by_single_qubit
 from ghzdense.qstate import StateVector
 
@@ -84,6 +91,41 @@ def reduced_state_matrix(catalog, qubit: int) -> np.ndarray:
     1993), here within ``REACH_ATOL``."""
     reduced = [reduced_state(state, qubit) for state in catalog.states]
     return np.array([[not np.abs(a - b).max() > REACH_ATOL for b in reduced] for a in reduced])
+
+
+def integer_signs(name: str) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Catalog ``name``'s states as integer sign rows (entries -1, 0, 1) and
+    the scale s with amplitude = sign / sqrt(s), rebuilt from the catalog's
+    own rule: ``bases._PHI_SIGNS`` over sqrt(8) for phi, and for the n-qubit
+    GHZ family (bell n = 2, ghz n = 3) over sqrt(2), where states 2k + 1 and
+    2k + 2 join ket 0 followed by (-k) mod 2^(n-1) with its complement, with
+    a plus and a minus sign."""
+    if name == "phi":
+        return _PHI_SIGNS, 8
+    dim = {"bell": 4, "ghz": 8}[name]
+    rows = []
+    for index in range(dim):
+        first = -(index // 2) % (dim // 2)
+        row = [0] * dim
+        row[first] = 1
+        row[first ^ (dim - 1)] = -1 if index % 2 else 1
+        rows.append(tuple(row))
+    return tuple(rows), 2
+
+
+def exact_gaps(name: str, qubit: int) -> list[list[Fraction]]:
+    """Every ordered pair's Gram gap max|G_i - G_j| for catalog ``name``
+    through ``qubit`` (qubit 1 the most significant bit), exactly. The signs
+    are real, so scale * G = X^T X is an integer matrix, X being the two
+    rows of signs with ``qubit`` at 0 and at 1."""
+    signs, scale = integer_signs(name)
+    bit = len(signs[0]).bit_length() - 1 - qubit
+    rest = [i for i in range(len(signs[0])) if not i >> bit & 1]
+    grams = []
+    for row in signs:
+        x0, x1 = ([row[c | a << bit] for c in rest] for a in (0, 1))
+        grams.append([x0[c] * x0[d] + x1[c] * x1[d] for c in range(len(rest)) for d in range(len(rest))])
+    return [[Fraction(max(abs(a - b) for a, b in zip(gi, gj)), scale) for gj in grams] for gi in grams]
 
 
 def recorded_calls(catalog, monkeypatch) -> list[tuple[int, int]]:

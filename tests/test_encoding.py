@@ -1,11 +1,20 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import ghzdense.encoding as encoding_mod
-from conftest import every_pair_matrix, kron_embed, random_state, recorded_calls, reduced_state_matrix
+from conftest import (
+    every_pair_matrix,
+    exact_gaps,
+    integer_signs,
+    kron_embed,
+    random_state,
+    recorded_calls,
+    reduced_state_matrix,
+)
 from ghzdense.bases import BasisCatalog, bell_catalog, bell_state, ghz_catalog, ghz_state, phi_catalog, phi_state
 from ghzdense.encoding import (
     _ORACLE_CHUNK,
@@ -36,8 +45,8 @@ from ghzdense.qstate import (
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 # Oracle sample counts at the chunk edges: many chunks, a full one and 3
-# more, one row, one exact chunk.
-CHUNK_EDGES = [50_003, _ORACLE_CHUNK + 3, 1, _ORACLE_CHUNK]
+# more, one row, one exact chunk, one short chunk alone, two full chunks.
+CHUNK_EDGES = [50_003, _ORACLE_CHUNK + 3, 1, _ORACLE_CHUNK, _ORACLE_CHUNK - 1, 2 * _ORACLE_CHUNK]
 
 # Every basis at every qubit: (catalog builder, qubit).
 CATALOG_QUBITS = [(ghz_catalog, q) for q in (1, 2, 3)] + [(phi_catalog, q) for q in (1, 2, 3)] + [
@@ -307,6 +316,30 @@ class TestReachabilityMatrix:
         for i, source in enumerate(cat.states):
             for j, target in enumerate(cat.states):
                 assert reachable_by_single_qubit(source, target, qubit).reachable == want[i, j], (i + 1, j + 1)
+
+    @pytest.mark.parametrize("catalog_fn,qubit", CATALOG_QUBITS)
+    def test_equals_the_integer_verdict(self, catalog_fn, qubit):
+        """The exact reference: a pair is reachable iff the Gram gap of the
+        catalog's integer signs is 0, decided with no tolerance, no
+        ``_split`` and no floats."""
+        cat = catalog_fn()
+        signs, scale = integer_signs(cat.name)
+        # The rebuilt signs are the catalog's amplitudes, bit for bit.
+        assert np.array_equal([s.amplitudes for s in cat.states], np.array(signs) / np.sqrt(scale))
+        want = [[gap == 0 for gap in row] for row in exact_gaps(cat.name, qubit)]
+        assert np.array_equal(reachability_matrix(cat, qubit), want)
+
+    def test_tolerance_lies_below_half_the_smallest_integer_gap(self):
+        """Every unreachable catalog pair's exact gap is at least 1/2, so
+        ``REACH_ATOL`` sits far below the nearest unreachable pair; bell has
+        none through either qubit."""
+        smallest = {}
+        for catalog_fn, qubit in CATALOG_QUBITS:
+            name = catalog_fn().name
+            smallest[name, qubit] = min((gap for row in exact_gaps(name, qubit) for gap in row if gap), default=None)
+        want = {(name, q): Fraction(1, 2) for name in ("ghz", "phi") for q in (1, 2, 3)}
+        assert smallest == {**want, ("bell", 1): None, ("bell", 2): None}
+        assert REACH_ATOL < min(gap for gap in smallest.values() if gap) / 2
 
     def test_gram_matrices_differing_only_in_their_imaginary_part(self):
         # |+i>|0> and |-i>|0> on qubit 2: the reduced states on qubit 1 are complex conjugates.
