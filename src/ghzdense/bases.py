@@ -22,7 +22,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .qstate import ATOL, _NAMED_GATES, StateVector, UnitaryMatrix, _checked, _shown, tensor
+from .qstate import ATOL, _NAMED_GATES, StateVector, UnitaryMatrix, _checked, _same_qubits, _shown, tensor
 
 _PHI_SIGNS = (
     (+1, +1, +1, +1, +1, +1, +1, +1),
@@ -44,11 +44,10 @@ class BasisCatalog:
     states: tuple[StateVector, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "states", tuple(self.states))
         if not self.states:
             raise ValueError("catalog needs at least one state")
-        n = self.states[0].n_qubits
-        if any(s.n_qubits != n for s in self.states):
-            raise ValueError("all catalog states must have the same qubit count")
+        _same_qubits(self.states)
 
     def __len__(self) -> int:
         return len(self.states)

@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bases import BasisCatalog, Protocol, ghz_family
-from .qstate import IDENTITY, StateVector, UnitaryMatrix, _checked, _rng, _split, apply_on_subset
+from .qstate import IDENTITY, StateVector, UnitaryMatrix, _checked, _rng, _same_qubits, _split, apply_on_subset
 
 REACH_ATOL = 1e-10  # Gram comparisons accumulate a few products
 _WITNESS_MIN_FIDELITY = 1.0 - 1e-9
@@ -84,11 +84,8 @@ def encoding_op(message: int) -> EncodingOp:
 
 def _encode(family: Protocol, message: int, shared: StateVector | None = None) -> StateVector:
     message = _checked(message, "message index", 1, len(family.encoders))
-    n = family.catalog.n_qubits
-    if shared is None:
-        shared = family.catalog.state(1)
-    elif shared.n_qubits != n:
-        raise ValueError(f"shared state must have {n} qubits, got {shared.n_qubits}")
+    shared = family.catalog.states[0] if shared is None else shared
+    _same_qubits((family.catalog.states[0], shared))
     return apply_on_subset(shared, family.encoders[message - 1], family.transit)
 
 
@@ -124,13 +121,10 @@ def _cofactors(states, qubit: int) -> np.ndarray:
     """For each state, the 2 x 2^(n-1) matrix whose rows are the
     (unnormalized) co-factors of the |0> and |1> branches of ``qubit``,
     stacked into one k x 2 x 2^(n-1) array: one ``_split`` per state.
-    Every state's qubit count is checked against the first one's ("qubit
-    counts differ: a vs b") before any state is split, so a mismatch is
-    reported ahead of an out-of-range ``qubit``."""
-    n = states[0].n_qubits
-    for state in states[1:]:
-        if state.n_qubits != n:
-            raise ValueError(f"qubit counts differ: {n} vs {state.n_qubits}")
+    Every state's qubit count is checked by ``qstate._same_qubits`` before
+    any state is split, so a mismatch is reported ahead of an out-of-range
+    ``qubit``."""
+    _same_qubits(states)
     return np.array([_split(state, (qubit,))[1] for state in states])
 
 

@@ -45,7 +45,7 @@ from functools import cache, reduce
 import numpy as np
 
 from .bases import Protocol, ghz_family
-from .qstate import _NAMED_GATES, StateVector, UnitaryMatrix, _checked, _shown, embed_on_subset
+from .qstate import _NAMED_GATES, StateVector, UnitaryMatrix, _checked, _same_qubits, _shown, embed_on_subset
 from .qstate import measure_computational
 
 _GHZ = ghz_family(3)
@@ -75,9 +75,7 @@ def _syndromes(n: int, qubit: int) -> tuple[int, int]:
 
 
 def _run_network(family: Protocol, state: StateVector) -> StateVector:
-    n = family.catalog.n_qubits
-    if state.n_qubits != n:
-        raise ValueError(f"network expects {n} qubits, got {state.n_qubits}")
+    _same_qubits((family.catalog.states[0], state))
     return StateVector._from_unitary_output(_network_operator(family).entries @ state.amplitudes)
 
 

@@ -23,7 +23,11 @@ rejected text of more than 60 characters, is echoed shortened
 command line's state indices and integer flags, is parsed by
 ``_decimal`` alone: ASCII digits only. Real-number text, a state file's
 amplitudes and the command line's ``--noise``, is parsed by ``_real``
-alone: ASCII only, with no underscore or surrounding space. A parameter
+alone: ASCII only, with no underscore or surrounding space. States that
+meet (in an inner product, a catalog, an encoding's shared state, the
+receiver's network or a reachability pair) have one qubit count, checked
+by ``_same_qubits`` alone: a mismatch reads "qubit counts differ: a vs
+b", the first state's count, then the other's. A parameter
 that holds one of the package's objects (``StateVector``,
 ``UnitaryMatrix``, ``BasisCatalog``, ``ChannelConfig``, or the states of
 a catalog) is outside that contract: passing something else there raises
@@ -276,10 +280,19 @@ def basis_state(bits: str) -> StateVector:
     return StateVector(amps)
 
 
+def _same_qubits(states) -> None:
+    """The package's one qubit-count rule for states that meet: every state
+    in ``states`` has the first one's qubit count, else ``ValueError``
+    "qubit counts differ: a vs b", the first count then the other."""
+    n = states[0].n_qubits
+    for state in states:
+        if state.n_qubits != n:
+            raise ValueError(f"qubit counts differ: {n} vs {state.n_qubits}")
+
+
 def inner_product(a: StateVector, b: StateVector) -> complex:
     """<a|b>, conjugating ``a``."""
-    if a.n_qubits != b.n_qubits:
-        raise ValueError(f"qubit counts differ: {a.n_qubits} vs {b.n_qubits}")
+    _same_qubits((a, b))
     return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 

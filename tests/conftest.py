@@ -9,9 +9,10 @@ reachability matrix: one ``reachable_by_single_qubit`` call per ordered pair.
 touching neither the package's split nor its Gram gap.
 ``recorded_calls`` lists the calls that the matrix itself makes.
 ``integer_signs`` rebuilds each named catalog's amplitudes as integer
-signs from the catalog's own rule, and ``exact_gaps`` takes every pair's
-Gram gap from them in ``Fraction``s: the Gram test with no tolerance,
-touching no numpy and no ``_split``.
+signs from the catalog's own rule, ``integer_cofactors`` splits them on
+one qubit, and ``exact_gaps`` takes every pair's Gram gap from them in
+``Fraction``s: the Gram test with no tolerance, touching no numpy and no
+``_split``.
 
 Property tests run under a derandomized hypothesis profile, so their
 examples, like every other sample in the suite, are the same on every run.
@@ -113,18 +114,23 @@ def integer_signs(name: str) -> tuple[tuple[tuple[int, ...], ...], int]:
     return tuple(rows), 2
 
 
-def exact_gaps(name: str, qubit: int) -> list[list[Fraction]]:
-    """Every ordered pair's Gram gap max|G_i - G_j| for catalog ``name``
-    through ``qubit`` (qubit 1 the most significant bit), exactly. The signs
-    are real, so scale * G = X^T X is an integer matrix, X being the two
-    rows of signs with ``qubit`` at 0 and at 1."""
+def integer_cofactors(name: str, qubit: int) -> tuple[list[tuple[tuple[int, ...], tuple[int, ...]]], int]:
+    """Catalog ``name``'s states split on ``qubit`` (qubit 1 the most
+    significant bit), in integers: per state the two rows of signs with
+    ``qubit`` at 0 and at 1, the other qubits' bits in order, and the scale
+    of :func:`integer_signs`."""
     signs, scale = integer_signs(name)
     bit = len(signs[0]).bit_length() - 1 - qubit
     rest = [i for i in range(len(signs[0])) if not i >> bit & 1]
-    grams = []
-    for row in signs:
-        x0, x1 = ([row[c | a << bit] for c in rest] for a in (0, 1))
-        grams.append([x0[c] * x0[d] + x1[c] * x1[d] for c in range(len(rest)) for d in range(len(rest))])
+    return [tuple(tuple(row[c | a << bit] for c in rest) for a in (0, 1)) for row in signs], scale
+
+
+def exact_gaps(name: str, qubit: int) -> list[list[Fraction]]:
+    """Every ordered pair's Gram gap max|G_i - G_j| for catalog ``name``
+    through ``qubit``, exactly. The signs are real, so scale * G = X^T X is
+    an integer matrix, X being the two rows of :func:`integer_cofactors`."""
+    cofactors, scale = integer_cofactors(name, qubit)
+    grams = [[x0[c] * x0[d] + x1[c] * x1[d] for c in range(len(x0)) for d in range(len(x0))] for x0, x1 in cofactors]
     return [[Fraction(max(abs(a - b) for a, b in zip(gi, gj)), scale) for gj in grams] for gi in grams]
 
 

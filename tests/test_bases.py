@@ -147,6 +147,16 @@ class TestBasisCatalog:
         with pytest.raises(ValueError):
             BasisCatalog("mixed", (bell_state(1), ghz_state(1)))
 
+    def test_a_list_is_stored_as_a_tuple(self):
+        """The catalog keeps its own tuple, so a caller's list cannot grow
+        it past the qubit-count check, and the catalog hashes."""
+        states = [bell_state(1), bell_state(2)]
+        catalog = BasisCatalog("listed", states)
+        states.append(ghz_state(1))
+        assert catalog.states == (bell_state(1), bell_state(2))
+        assert hash(catalog) == hash(BasisCatalog("listed", (bell_state(1), bell_state(2))))
+        assert verify_orthonormal(catalog).within()
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             BasisCatalog("empty", ())

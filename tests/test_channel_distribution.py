@@ -13,6 +13,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -211,6 +212,29 @@ def test_decode_distribution_equals_its_closed_forms_on_a_grid(name):
         rate = ((1 - 2 * p / 3) ** (n - 1) + (1 - 4 * p / 3) ** (n - 1)) / 2
         assert_allclose(np.diag(dist), rate, rtol=0, atol=1e-12, err_msg=f"p = {p}")
         assert_allclose(dist, _walsh_hadamard_row(family, channel), rtol=0, atol=1e-12, err_msg=f"p = {p}")
+
+
+@pytest.mark.parametrize("name", PROTOCOL_NAMES)
+def test_decode_distribution_equals_the_fold_in_fractions(name):
+    """The exact reference at rational p: each transit qubit's weights
+    (1 - p, p/3, p/3, p/3) folded against the syndromes of the exchanges in
+    ``Fraction``s, then relabelled into every row, lies within 1e-15 of the
+    floats; for ghz3 at p = 1/10 the diagonal is exactly 73/90."""
+    family = _family(name)
+    base, syndromes = _syndromes(family)
+    labels = [int(bits, 2) for bits in family.decode_table]
+    readouts = range(len(labels))
+    for p in (Fraction(1, 10), Fraction(3, 10), Fraction(3, 4), Fraction(1)):
+        row = [Fraction(r == base) for r in readouts]
+        for x, z in syndromes:
+            weights = (1 - p, p / 3, p / 3, p / 3)
+            row = [sum(w * row[r ^ s] for w, s in zip(weights, (0, x, x ^ z, z))) for r in readouts]
+        exact = [[row[a ^ b ^ labels[0]] for b in labels] for a in labels]
+        dist = _decode_distribution(family, ChannelConfig(pauli_error_prob=float(p)))
+        worst = max(abs(Fraction(float(d)) - e) for drow, erow in zip(dist, exact) for d, e in zip(drow, erow))
+        assert worst <= Fraction(1, 10**15), (p, float(worst))
+        if name == "ghz3" and p == Fraction(1, 10):
+            assert {exact[m][m] for m in readouts} == {Fraction(73, 90)}
 
 
 def test_full_noise_rate_matches_exhaustive_enumeration():

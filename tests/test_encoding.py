@@ -9,6 +9,7 @@ import ghzdense.encoding as encoding_mod
 from conftest import (
     every_pair_matrix,
     exact_gaps,
+    integer_cofactors,
     integer_signs,
     kron_embed,
     random_state,
@@ -340,6 +341,37 @@ class TestReachabilityMatrix:
         want = {(name, q): Fraction(1, 2) for name in ("ghz", "phi") for q in (1, 2, 3)}
         assert smallest == {**want, ("bell", 1): None, ("bell", 2): None}
         assert REACH_ATOL < min(gap for gap in smallest.values() if gap) / 2
+
+    def test_every_reachable_pair_is_a_pauli_orbit(self):
+        """The exact reference for a named witness: every pair with integer
+        gap 0 has a Pauli P on the qubit and a unit u = i^k with
+        P X_i = u X_j, compared in Gaussian integers (re, im) with no
+        floats. P takes row 0 of its image from row r times i^a and row 1
+        from row s times i^b: Y = [[0, -i], [i, 0]] takes -i x_1, then i x_0."""
+        paulis = {"I": ((0, 0), (1, 0)), "X": ((1, 0), (0, 0)), "Y": ((1, 3), (0, 1)), "Z": ((0, 0), (1, 2))}
+
+        def times(k, row):  # an integer row times i^k
+            re, im = ((1, 0), (0, 1), (-1, 0), (0, -1))[k]
+            return tuple((re * v, im * v) for v in row)
+
+        reachable = {}
+        for catalog_fn, qubit in CATALOG_QUBITS:
+            name = catalog_fn().name
+            x, _ = integer_cofactors(name, qubit)
+            gaps = exact_gaps(name, qubit)
+            pairs = [(i, j) for i in range(len(x)) for j in range(len(x)) if gaps[i][j] == 0]
+            for i, j in pairs:
+                images = [(times(a, x[i][r]), times(b, x[i][s])) for (r, a), (s, b) in paulis.values()]
+                units = [(times(k, x[j][0]), times(k, x[j][1])) for k in range(4)]
+                assert any(image in units for image in images), (name, qubit, i + 1, j + 1)
+            reachable[name, qubit] = len(pairs)
+        assert reachable == {
+            **{("bell", q): 16 for q in (1, 2)},
+            **{("ghz", q): 32 for q in (1, 2, 3)},
+            ("phi", 1): 24,
+            ("phi", 2): 24,
+            ("phi", 3): 8,
+        }
 
     def test_gram_matrices_differing_only_in_their_imaginary_part(self):
         # |+i>|0> and |-i>|0> on qubit 2: the reduced states on qubit 1 are complex conjugates.

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from ghzdense.bases import (
+    BasisCatalog,
     bell_catalog,
     bell_state,
     catalog_by_name,
@@ -38,7 +39,7 @@ from ghzdense.encoding import (
     reachability_oracle_matrix,
     reachable_by_single_qubit,
 )
-from ghzdense.ghzmeasure import decode, ghz_measure, outcome_for_index
+from ghzdense.ghzmeasure import decode, disentangle, ghz_measure, index_distribution, outcome_for_index
 from ghzdense.protocol import (
     ChannelConfig,
     TrialReport,
@@ -54,8 +55,11 @@ from ghzdense.qstate import (
     UnitaryMatrix,
     apply_on_subset,
     basis_state,
+    dump_state,
     embed_on_subset,
+    fidelity_up_to_phase,
     haar_random_unitary,
+    inner_product,
     load_state,
     measure_computational,
 )
@@ -364,6 +368,34 @@ def test_qubit_count_mismatch_is_reported_before_the_qubit_range(check, source, 
     with pytest.raises(ValueError) as caught:
         check(source, target, qubit)
     assert str(caught.value) == message
+
+
+# Every entry point where two states meet, each with a state of the wrong size.
+QUBIT_COUNT_MISMATCHES = {
+    "inner_product": (lambda: inner_product(ghz_state(1), bell_state(1)), "3 vs 2"),
+    "fidelity_up_to_phase": (lambda: fidelity_up_to_phase(bell_state(1), ghz_state(1)), "2 vs 3"),
+    "BasisCatalog": (lambda: BasisCatalog("mixed", [ghz_state(1), bell_state(1)]), "3 vs 2"),
+    "encode": (lambda: encode(1, basis_state("0000")), "3 vs 4"),
+    "bell_encode": (lambda: bell_encode(1, ghz_state(1)), "2 vs 3"),
+    "disentangle": (lambda: disentangle(bell_state(1)), "3 vs 2"),
+    "ghz_measure": (lambda: ghz_measure(basis_state("0000"), 0), "3 vs 4"),
+    "bell_measure": (lambda: bell_measure(ghz_state(1), 0), "2 vs 3"),
+    "index_distribution": (lambda: index_distribution(bell_state(1)), "3 vs 2"),
+}
+
+
+@pytest.mark.parametrize("call, counts", QUBIT_COUNT_MISMATCHES.values(), ids=QUBIT_COUNT_MISMATCHES.keys())
+def test_states_that_meet_report_one_qubit_count_message(call, counts):
+    with pytest.raises(ValueError) as caught:
+        call()
+    assert str(caught.value) == f"qubit counts differ: {counts}"
+
+
+def test_network_apply_reports_the_qubit_count_message(tmp_path):
+    path = tmp_path / "bell.txt"
+    path.write_text(dump_state(bell_state(1)))
+    result = dispatch(["network", "apply", "--state-file", str(path)])
+    assert (result.exit_code, result.stdout) == (2, "error: qubit counts differ: 3 vs 2")
 
 
 @pytest.mark.parametrize("protocol", ["ghz3", "bell2"])
