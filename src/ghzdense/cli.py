@@ -99,12 +99,14 @@ def _report(args, payload, lines: list[str], exit_code: int = 0) -> CommandResul
 
 
 def _parse_state_index(text: str, catalog: BasisCatalog) -> int:
-    """Accept both bare numbers ('3') and prefixed names ('psi3')."""
-    raw = str(text).strip().lower()
+    """Accept both bare numbers ('3') and prefixed names ('psi3'), read as
+    given: a prefix is ASCII letters in any case, and the digits after it
+    go to :func:`_decimal`, so a space, sign or other script is malformed."""
+    raw = text.lower()
     head = raw.rstrip("0123456789")
     digits = raw[len(head):]
     expected = _INDEX_PREFIX[catalog.name]
-    if head.isalpha() and head != expected:
+    if text.isascii() and head.isalpha() and head != expected:
         raise ValueError(f"index prefix {_shown(head)} does not name a {catalog.name} state; use e.g. {expected}3 or 3")
     if head not in ("", expected) or not digits:
         raise ValueError(f"malformed state index {_shown(text)}")

@@ -11,12 +11,14 @@ Two protocols are covered:
 Noise model: while a qubit is in transit it suffers, with probability p,
 one Pauli error (X, Y or Z, each with probability p/3). Only qubits in
 transit are exposed; the receiver's qubit is ideal. Every Pauli maps
-basis states to basis states, so the decode distribution is exact; it is
-built from one state-vector exchange of message 1 and the closed-form
-syndromes of ``ghzmeasure._syndromes`` (see ``_decode_distribution``).
-Batches sample from it with one random stream per call, seeded by the
-channel: first the message counts, then each message's decoded counts in
-message order.
+basis states to basis states, so the decode distribution is exact: it is
+the channel's syndrome distribution, folded from the closed-form
+syndromes of ``ghzmeasure._syndromes`` and relabelled, with no exchange
+(see ``_decode_distribution``). Batches sample from it with one random
+stream per call, seeded by the channel: first the message counts, then
+each message's decoded counts in message order, then the one readout,
+message 1's error-free exchange, which must decode as message 1 with
+certainty.
 
 Both are ``bases.ghz_family(n)``, n=3 and n=2. The label of message m is
 the readout its state gives; :mod:`ghzdense.ghzmeasure` lists the labels
@@ -221,20 +223,19 @@ def _pauli_tables(family: Protocol, channel: ChannelConfig) -> list[tuple[float,
 
 
 @cache
-def _exchange_inputs(family: Protocol) -> tuple[StateVector, tuple, np.ndarray, np.ndarray, np.random.Generator]:
+def _exchange_inputs(family: Protocol) -> tuple[tuple, np.ndarray]:
     """What ``_decode_distribution`` reads for ``family``, none of it
-    depending on the channel: message 1's state, for each transit qubit in
-    transit order its syndromes (x, z) from ``ghzmeasure._syndromes``, the
-    label of each message in message order, the relabel index
-    ``labels[:, None] ^ labels ^ labels[0]`` that spreads message 1's row
-    into every row, and one readout stream. Built on first use, once per
-    family, so importing the package loads no ``numpy.random``; both arrays
-    are read-only."""
+    depending on the channel: for each transit qubit in transit order its
+    syndromes (x, z) from ``ghzmeasure._syndromes``, and the relabel index
+    ``labels[:, None] ^ labels`` that spreads the syndrome distribution into
+    every row, labels read from ``decode_table``'s keys, which are listed in
+    message order. Built on first use, once per family; the index is
+    read-only."""
     syndromes = tuple(_syndromes(family.catalog.n_qubits, q) for q in family.transit)
     labels = np.array([int(bits, 2) for bits in family.decode_table])
-    relabel = labels[:, None] ^ labels ^ labels[0]
-    labels.flags.writeable = relabel.flags.writeable = False
-    return family.catalog.state(1), syndromes, labels, relabel, _rng(0)  # outcomes are certain; the seed is irrelevant
+    relabel = labels[:, None] ^ labels
+    relabel.flags.writeable = False
+    return syndromes, relabel
 
 
 def _decode_distribution(family: Protocol, channel: ChannelConfig) -> np.ndarray:
@@ -245,39 +246,26 @@ def _decode_distribution(family: Protocol, channel: ChannelConfig) -> np.ndarray
     into every message's label, the same for every message, and errors on
     several qubits XOR their syndromes. That map is a homomorphism: the
     syndrome of a product of Paulis is the XOR of theirs, and Y = iXZ. So
-    C is built from one state-vector exchange, the error-free one of
-    message 1 (catalog state 1), which gives its label ``base``, and from
-    each transit qubit's syndromes x (of X) and z (of Z), which
-    ``ghzmeasure._syndromes`` gives in closed form. ``R[r]``, the
-    probability that message 1 reads out as the integer r, starts at
-    ``base`` with weight 1; each transit qubit's row (I, X, Y, Z) of
-    ``_pauli_tables`` then folds in by XOR against the shifts
-    (0, x, x XOR z, z): ``R'[r] = sum of w R[r XOR s]`` over its terms of
-    nonzero weight w, added left to right from 0 in row order (a term of
-    weight 0 would only add 0.0). R holds at most 8 entries, so it is
-    folded as a list of Python floats and becomes an array once, at the
-    end. Every row of C is R relabelled:
-    ``C[m, j] = R[label(m) XOR label(j) XOR label(1)]``, labels read from
-    ``decode_table``'s keys, which are listed in message order.
+    C needs no exchange, only each transit qubit's syndromes x (of X) and
+    z (of Z), which ``ghzmeasure._syndromes`` gives in closed form.
+    ``R[s]``, the probability that the channel XORs the syndrome s (an
+    integer) into a readout, starts as weight 1 on s = 0; each transit
+    qubit's row (I, X, Y, Z) of ``_pauli_tables`` then folds in by XOR
+    against the shifts (0, x, x XOR z, z): ``R'[r] = sum of w R[r XOR s]``
+    over its terms of nonzero weight w, added left to right from 0 in row
+    order (a term of weight 0 would only add 0.0). R holds at most 8
+    entries, so it is folded as a list of Python floats and becomes an
+    array once, at the end. Every row of C is R relabelled:
+    ``C[m, j] = R[label(m) XOR label(j)]``.
 
     The syndromes and the relabel index come from ``_exchange_inputs``,
-    built once per family; every call reads out the error-free exchange
-    anew, so the certainty check runs on every call."""
-    sent, syndromes, labels, relabel, readout = _exchange_inputs(family)
-    # Called through the module-level names, so whatever is bound to them
-    # (such as the span wrappers of perfbench/tracer.py) runs.
-    measure = bell_measure if family is _BELL else ghz_measure
-    decoded, probability = measure(sent, readout)
-    if abs(probability - 1.0) > 1e-9:
-        raise RuntimeError(
-            f"no error leaves message 1 decoded as {decoded} only with "
-            f"probability {probability}; the channel must map basis states to basis states"
-        )
-    readouts = range(len(labels))
-    row = [0.0] * len(labels)  # R, message 1's distribution by readout
-    row[labels[decoded - 1]] = 1.0
+    built once per family. The call makes no readout and draws nothing;
+    ``run_trials`` checks the error-free exchange."""
+    syndromes, relabel = _exchange_inputs(family)
+    readouts = range(len(relabel))
+    row = [1.0] + [0.0] * (len(relabel) - 1)  # R, by syndrome
     for weights, (x, z) in zip(_pauli_tables(family, channel), syndromes):
-        folded = [0.0] * len(labels)
+        folded = [0.0] * len(row)
         for w, s in zip(weights, (0, x, x ^ z, z)):
             if w:
                 for r in readouts:
@@ -324,19 +312,32 @@ def run_trials(
     distribution, so the cost does not grow with ``trials``. All draws
     come from one stream seeded by ``channel.rng_seed``: the message counts
     (one multinomial draw, skipped when a message is pinned), then each
-    message's decoded counts, in message order; a message sent 0 times
-    draws nothing. Equal arguments give equal reports.
+    message's decoded counts, in message order (a message sent 0 times
+    draws nothing), then one readout of message 1's error-free exchange.
+    That readout checks the network: unless it decodes as message 1 with
+    certainty the call raises ``RuntimeError``. Equal arguments give equal
+    reports.
     """
     family = _family(protocol)
     trials = _checked(trials, "trials", 1, _MAX_TRIALS)
     k = len(family.catalog)
+    fixed_message = None if fixed_message is None else _checked(fixed_message, "message index", 1, k)
     dist = _decode_distribution(family, channel)
     rng = _rng(channel.rng_seed)
     if fixed_message is None:
         sent = rng.multinomial(trials, _uniform_prior(k))
     else:
-        sent = trials * np.eye(k, dtype=np.int64)[_checked(fixed_message, "fixed message", 1, k) - 1]
+        sent = trials * np.eye(k, dtype=np.int64)[fixed_message - 1]
     counts = rng.multinomial(sent, dist)  # row m draws message m's decoded counts
+    # Called through the module-level names, so whatever is bound to them
+    # (such as the span wrappers of perfbench/tracer.py) runs.
+    measure = bell_measure if family is _BELL else ghz_measure
+    decoded, probability = measure(family.catalog.states[0], rng)
+    if decoded != 1 or abs(probability - 1.0) > 1e-9:
+        raise RuntimeError(
+            f"no error leaves message 1 decoded as {decoded} only with "
+            f"probability {probability}; the channel must map basis states to basis states"
+        )
     successes = int(counts.trace())
     return TrialReport(
         protocol=protocol,

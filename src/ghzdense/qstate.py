@@ -397,7 +397,7 @@ def haar_random_unitary(dim: int, rng_seed) -> UnitaryMatrix:
 def dump_state(state: StateVector) -> str:
     """Serialize to text: header ``nqubits <n>``, then one ``index re im``
     line per nonzero amplitude. Floats use shortest round-trip notation,
-    so dump followed by load reproduces the state exactly."""
+    so load reads every written amplitude back bit for bit."""
     lines = [f"nqubits {state.n_qubits}"]
     for idx, amp in enumerate(state.amplitudes):
         if amp != 0:
@@ -415,10 +415,13 @@ def load_state(text: str) -> StateVector:
     """Parse the ``dump_state`` text format.
 
     Amplitudes whose norm is within ``ATOL`` of 1 are kept as written, so
-    ``load_state(dump_state(s))`` reproduces ``s`` bit for bit. Reduced
-    precision is renormalized; a norm more than 1e-9 away from 1 is
-    rejected as malformed instead. The amplitudes pass the admission rule
-    of :class:`StateVector` before the norm is taken.
+    ``load_state(dump_state(s))`` reads every amplitude that ``dump_state``
+    wrote back bit for bit; a zero amplitude, ``-0.0`` included, is not
+    written and reads back as ``+0.0``, so the two states are equal in
+    value but may differ in sign bits. Reduced precision is renormalized;
+    a norm more than 1e-9 away from 1 is rejected as malformed instead.
+    The amplitudes pass the admission rule of :class:`StateVector` before
+    the norm is taken.
     """
     if not isinstance(text, str):
         raise ValueError(f"state text must be a str, got {type(text).__name__}")

@@ -432,15 +432,63 @@ def test_uncertain_readout_error_names_the_exchange(monkeypatch):
         run_trials("ghz3", 10, ChannelConfig(pauli_error_prob=0.1))
 
 
+def test_a_wrong_certain_readout_is_an_error(monkeypatch):
+    """The readout must be message 1's, not only certain."""
+    monkeypatch.setattr(protocol, "ghz_measure", lambda state, rng: (3, 1.0))
+    with pytest.raises(RuntimeError, match="decoded as 3 only with probability 1.0"):
+        run_trials("ghz3", 10)
+
+
+def test_decode_distribution_makes_no_readout():
+    """In a fresh process, on a noisy and a forced channel of both families:
+    no measurement, no computational readout, and no ``numpy.random``
+    beyond what numpy itself loads."""
+    probe = (
+        "import sys, numpy\n"
+        "bare = 'numpy.random' in sys.modules\n"
+        "from ghzdense import ghzmeasure, protocol, qstate\n"
+        "calls = []\n"
+        "for module, name in [(protocol, 'ghz_measure'), (protocol, 'bell_measure'),\n"
+        "                     (ghzmeasure, 'measure_computational'), (qstate, 'measure_computational')]:\n"
+        "    real = getattr(module, name)\n"
+        "    setattr(module, name, lambda *a, name=name, real=real: calls.append(name) or real(*a))\n"
+        "for family in protocol._BY_NAME.values():\n"
+        "    protocol._decode_distribution(family, protocol.ChannelConfig(pauli_error_prob=0.1))\n"
+        "    protocol._decode_distribution(family, protocol.ChannelConfig(forced_errors={1: 'Y'}))\n"
+        "print(calls, bare, 'numpy.random' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(ghzdense.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env)
+    calls, bare, after = out.stdout.rsplit(maxsplit=2)
+    assert calls == "[]"
+    assert after == bare
+
+
+@pytest.mark.parametrize(
+    "call, shown",
+    [
+        (lambda: protocol.roundtrip_ghz(9), "message index must lie in [1, 8], got 9"),
+        (lambda: protocol.roundtrip_bell(0), "message index must lie in [1, 4], got 0"),
+        (lambda: run_trials("bell2", 10, fixed_message=5), "message index must lie in [1, 4], got 5"),
+        (lambda: run_trials("ghz3", 10, fixed_message=True), "message index must be an integer, got True"),
+    ],
+    ids=["roundtrip_ghz(9)", "roundtrip_bell(0)", "bell2 pinned to 5", "ghz3 pinned to True"],
+)
+def test_a_rejected_pinned_message_is_a_message_index(exchanges, call, shown):
+    """Named as ``encode`` names it, and rejected before any readout."""
+    with pytest.raises(ValueError, match=f"^{re.escape(shown)}$"):
+        call()
+    assert exchanges == []
+
+
 @pytest.mark.parametrize("name", PROTOCOL_NAMES)
 def test_exchange_inputs_are_the_rule_syndromes_and_read_only_labels(name):
     family = _family(name)
-    state, syndromes, labels, relabel, _ = protocol._exchange_inputs(family)
-    assert state is family.catalog.state(1)
+    syndromes, relabel = protocol._exchange_inputs(family)
     assert syndromes == tuple(ghzmeasure._syndromes(family.catalog.n_qubits, q) for q in family.transit)
-    assert labels.tolist() == [int(bits, 2) for bits in family.decode_table]
-    assert not labels.flags.writeable
-    assert_array_equal(relabel, labels[:, None] ^ labels ^ labels[0])
+    labels = np.array([int(bits, 2) for bits in family.decode_table])
+    assert labels[0] == 0  # message 1 reads out as 0, so R is message 1's row
+    assert_array_equal(relabel, labels[:, None] ^ labels)
     assert not relabel.flags.writeable
 
 
@@ -488,8 +536,9 @@ def test_warm_trials_inject_no_error_and_seed_only_their_own_stream(monkeypatch,
 
 
 def test_import_loads_no_numpy_random():
-    """The readout stream is built on first use, so importing the package
-    or its command line loads ``numpy.random`` only if numpy itself does."""
+    """Each random stream is built by the call that draws from it, so
+    importing the package or its command line loads ``numpy.random`` only
+    if numpy itself does."""
     probe = (
         "import sys, numpy\n"
         "print('numpy.random' in sys.modules)\n"

@@ -696,6 +696,19 @@ def test_integer_flags_read_ascii_digits_only(option, text):
 
 
 @pytest.mark.parametrize(
+    "text",
+    [" 7 ", "7 ", "١", "+1", "1_000", "ı3"],
+    ids=["spaces", "trailing space", "arabic-indic one", "sign", "underscore", "dotless i prefix"],
+)
+@pytest.mark.parametrize("option", ["bases dump --index", "encode --message", "roundtrip --message"])
+def test_state_indices_read_as_given(option, text):
+    """No space is stripped, and only ASCII letters make a prefix."""
+    result = dispatch([text if word == "{}" else word for word in CLI_OPTIONS[option].split()])
+    assert result.exit_code == 2
+    assert result.stdout.splitlines()[-1] == f"error: malformed state index {text!r}"
+
+
+@pytest.mark.parametrize(
     "text", ["0_1", "١", " 0.1 ", "٠.١"], ids=["underscore", "arabic-indic one", "spaces", "arabic-indic decimal"]
 )
 def test_noise_reads_ascii_text_only(text):
