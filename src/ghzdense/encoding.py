@@ -33,8 +33,11 @@ at once: the Gram gap in :func:`_gram_gaps`, the witness re-check in
 case, and a single pair's function reads entry [0, 1] of the two-state
 case (source, target). Each class's first state takes the identity as
 its witness, and every other state gets its witness from one exact call
-from that first state; these compose into the witness of every other
-pair in the class (see :func:`reachability_matrix`).
+from that first state; these compose into a witness for every pair. One
+rule certifies each reachable pair: a composed witness that re-checks
+needs nothing more, a failing pair whose two states share their class's
+first state is an ``ArithmeticError``, and any other failing pair is
+decided by a call of its own (see :func:`reachability_matrix`).
 
 The sampled oracle cross-checks these verdicts by brute force. Each
 sample is a row g of four normals, whose direction is a unit quaternion,
@@ -52,7 +55,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bases import BasisCatalog, Protocol, ghz_family
-from .qstate import IDENTITY, StateVector, UnitaryMatrix, _checked, _rng, _same_qubits, _split, apply_on_subset
+from .qstate import (_MAX_OPERATOR_QUBITS, IDENTITY, StateVector, UnitaryMatrix, _checked, _rng, _same_qubits,
+                     _split, apply_on_subset)
 
 REACH_ATOL = 1e-10  # Gram comparisons accumulate a few products
 _WITNESS_MIN_FIDELITY = 1.0 - 1e-9
@@ -134,7 +138,13 @@ def _gram_gaps(x: np.ndarray) -> np.ndarray:
     max|G_i - G_j| between the column Gram matrices G = X^H X, all formed
     in one stacked product and compared in one broadcast. A pair is
     reachable exactly when its gap is not above ``REACH_ATOL``; the gap
-    reads the same in either order."""
+    reads the same in either order.
+
+    A k-state stack holds k Gram matrices of 2^(n-1) x 2^(n-1) and k^2
+    differences of them, so n may be at most one above the package's
+    dense-operator ceiling ``_MAX_OPERATOR_QUBITS`` (1024 x 1024 Gram
+    matrices at 11 qubits), checked before any is formed."""
+    _checked(x.shape[2].bit_length(), "qubit count for the Gram test", 1, _MAX_OPERATOR_QUBITS + 1)
     grams = x.conj().transpose(0, 2, 1) @ x
     return np.abs(grams[:, None] - grams[None]).max(axis=(2, 3))
 
@@ -165,11 +175,10 @@ def reachable_by_single_qubit(
     A fidelity below ``_WITNESS_MIN_FIDELITY`` is an ``ArithmeticError``.
 
     Each call compares a two-state stack and re-checks the whole stack
-    (identity, W), not the one pair alone: a reachable ghz verdict took
-    63 us against 55-59 us for a re-check of W alone (2-vCPU Xeon). A
-    caller that loops over the pairs of a catalog should call
-    :func:`reachability_matrix`, which splits each state once and calls
-    this only for a state that is not its class's first."""
+    (identity, W), not the one pair alone. A caller that loops over the
+    pairs of a catalog should call :func:`reachability_matrix`, which
+    splits each state once and calls this only for a state that is not
+    its class's first or a pair whose composed witness fails."""
     pair = _cofactors((source, target), qubit)
     x, y = pair
     w, sing, vh = np.linalg.svd(y @ x.conj().T)
@@ -275,11 +284,10 @@ def reachability_oracle(
     same seed draws the same unitaries in both.
 
     Each call scores the forms of all 4 ordered pairs of that two-state
-    stack, the diagonal pairs included, not the one pair alone: a ghz
-    (1, 2) call at 10^4 samples took 7-12% longer than scoring that pair
-    alone (2-vCPU Xeon). A caller that loops over the pairs of a catalog
-    should call :func:`reachability_oracle_matrix`, which draws one set of
-    samples and scores each distinct form once.
+    stack, the diagonal pairs included, not the one pair alone. A caller
+    that loops over the pairs of a catalog should call
+    :func:`reachability_oracle_matrix`, which draws one set of samples and
+    scores each distinct form once.
     """
     return float(_best_sampled_fidelities((source, target), qubit, samples, rng_seed)[0, 1])
 
@@ -302,15 +310,17 @@ def reachability_matrix(catalog: BasisCatalog, qubit: int) -> np.ndarray:
     j: one call per state that is not its class's first, 6 for ghz at
     every qubit, and 5, 5 and 0 for phi on qubits 1, 2 and 3. Each call
     decides its pair from the same gap on the same split, so it agrees
-    with the matrix and its witness is read directly. For i < j with
-    r(i) = r(j) the witness is W_j W_i^H, and every such reachable pair is
-    re-checked at once against ``_WITNESS_MIN_FIDELITY``, on the k x k
-    fidelities of :func:`_witness_fidelities`, whose two-state case
-    :func:`reachable_by_single_qubit` reads; with i = r(j) that re-checks
-    the call's own W_j. A reachable pair with r(i) != r(j) that is not
-    one of those calls, which only gaps chaining within ``REACH_ATOL``
-    make, is decided by a call of its own. The verdicts stay pairwise, so
-    such a chain merges no classes.
+    with the matrix and its witness is read directly.
+
+    One rule then certifies every reachable pair i < j. Its composed
+    witness W_j W_i^H is re-checked against ``_WITNESS_MIN_FIDELITY``, all
+    pairs at once, on the k x k fidelities of :func:`_witness_fidelities`,
+    whose two-state case :func:`reachable_by_single_qubit` reads; a pair
+    that re-checks needs no call, and with i = r(j) this re-checks the
+    call's own W_j. A failing pair with r(i) = r(j) is an
+    ``ArithmeticError``. Any other failing pair, which only gaps chaining
+    within ``REACH_ATOL`` can give, is decided by a call of its own. The
+    verdicts stay pairwise, so such a chain merges no classes.
     """
     states = catalog.states
     x = _cofactors(states, qubit)
@@ -320,16 +330,13 @@ def reachability_matrix(catalog: BasisCatalog, qubit: int) -> np.ndarray:
                           else reachable_by_single_qubit(states[r], states[j], qubit).witness.entries
                           for j, r in enumerate(rep)])
     fidelity = _witness_fidelities(witnesses, x)
-    pairs = np.triu(out, 1)
-    composed = pairs & (rep[:, None] == rep[None])
-    for i, j in np.argwhere(composed & (fidelity < _WITNESS_MIN_FIDELITY)):
-        raise ArithmeticError(
-            f"states {i + 1} and {j + 1}: composed witness fidelity {fidelity[i, j]} "
-            f"below {_WITNESS_MIN_FIDELITY}"
-        )
-    for i, j in np.argwhere(pairs & ~composed):
-        if i != rep[j]:
-            reachable_by_single_qubit(states[i], states[j], qubit)
+    for i, j in np.argwhere(np.triu(out, 1) & (fidelity < _WITNESS_MIN_FIDELITY)):
+        if rep[i] == rep[j]:
+            raise ArithmeticError(
+                f"states {i + 1} and {j + 1}: composed witness fidelity {fidelity[i, j]} "
+                f"below {_WITNESS_MIN_FIDELITY}"
+            )
+        reachable_by_single_qubit(states[i], states[j], qubit)
     return out
 
 

@@ -69,7 +69,9 @@ class ChannelConfig:
     I with weight 1 - ``pauli_error_prob`` and X, Y, Z with a third of it
     each. ``forced_errors`` puts weight 1 on each listed qubit's error and
     on I for every other transit qubit, given as a mapping or pairs like
-    ``{1: "Z"}``; listed qubits must be in transit for the protocol used.
+    ``{1: "Z"}``, and stored as pairs sorted by qubit, so configs that list
+    the same errors in another order are equal; listed qubits must be in
+    transit for the protocol used.
     It exists for deterministic fault-injection tests, and while set the
     error probability is ignored.
     """
@@ -91,7 +93,7 @@ class ChannelConfig:
                 raise ValueError("forced_errors must map qubits to Pauli errors") from None
             if any(g not in _ERRORS for _, g in pairs):
                 raise ValueError("forced_errors names an error other than X, Y, Z")
-            pairs = tuple((_checked(q, "forced_errors qubit", 1), g) for q, g in pairs)
+            pairs = tuple(sorted((_checked(q, "forced_errors qubit", 1), g) for q, g in pairs))
             if len({q for q, _ in pairs}) != len(pairs):
                 raise ValueError("forced_errors may hold at most one error per qubit")
             object.__setattr__(self, "forced_errors", pairs)

@@ -43,7 +43,8 @@ import numpy as np
 ATOL = 1e-12
 MAX_QUBITS = 20  # dense amplitude arrays; 2**20 is the supported ceiling
 # Dense 2^n x 2^n operators the package builds (embed_on_subset,
-# haar_random_unitary): 16 MB at the ceiling, against 8x8 in the protocols.
+# haar_random_unitary, tensor): 16 MB at the ceiling, against 8x8 in the
+# protocols. The Gram test's matrices are this size at one qubit more.
 _MAX_OPERATOR_QUBITS = 10
 _SHOWN_DIGITS = 20  # an error echoes a longer integer by its first and last digits
 _SHOWN_CHARS = 60  # an error echoes longer text by its start; no dump_state line is as long
@@ -307,7 +308,10 @@ def fidelity_up_to_phase(a: StateVector, b: StateVector) -> float:
 
 
 def tensor(u: UnitaryMatrix, v: UnitaryMatrix) -> UnitaryMatrix:
-    """Kronecker product; ``u`` acts on the more significant qubits."""
+    """Kronecker product; ``u`` acts on the more significant qubits. The
+    product's qubit count is checked against ``_MAX_OPERATOR_QUBITS`` (10)
+    before it is formed."""
+    _checked(u.n_qubits + v.n_qubits, "tensor qubit count", 2, _MAX_OPERATOR_QUBITS)
     return UnitaryMatrix(np.kron(u.entries, v.entries))
 
 

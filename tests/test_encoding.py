@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -411,25 +412,66 @@ class TestReachabilityMatrix:
         m = reachability_matrix(catalog_fn(), qubit).astype(int)
         assert np.array_equal((m @ m) > 0, m > 0)
 
-    def test_gaps_chaining_within_tolerance_stay_pairwise(self, monkeypatch):
-        # cos t|000> + sin t|011> at t = 0.3, 0.3 + 2 delta, 0.3 + delta: on qubit 1
-        # the gaps are 1.16e-10 between states 1 and 2 and 5.8e-11 for the two pairs
-        # with state 3, so 3 reaches both, while 1 and 2 do not reach each other.
+    @staticmethod
+    def _chain_catalog():
+        """cos t|000> + sin t|011> at t = 0.3, 0.3 + 2 delta, 0.3 + delta: on qubit 1
+        the gaps are 1.16e-10 between states 1 and 2 and 5.8e-11 for the two pairs
+        with state 3, so 3 reaches both, while 1 and 2 do not reach each other."""
         delta = 7e-11
         states = []
         for t in (0.3, 0.3 + 2 * delta, 0.3 + delta):
             amps = np.zeros(8, dtype=complex)
             amps[0b000], amps[0b011] = np.cos(t), np.sin(t)
             states.append(StateVector(amps))
-        cat = BasisCatalog("edge", tuple(states))
+        return BasisCatalog("edge", tuple(states))
+
+    @staticmethod
+    def _low_matrix_fidelity(monkeypatch, i, j):
+        """Patch the matrix's k x k re-check, not a call's two-state one, to
+        read 0.5 at the 1-based pair (i, j)."""
+
+        def lowered(witnesses, x):
+            fidelity = _witness_fidelities(witnesses, x)
+            if len(x) > 2:
+                fidelity[i - 1, j - 1] = 0.5
+            return fidelity
+
+        monkeypatch.setattr(encoding_mod, "_witness_fidelities", lowered)
+
+    def test_gaps_chaining_within_tolerance_stay_pairwise(self, monkeypatch):
+        cat = self._chain_catalog()
         calls = recorded_calls(cat, monkeypatch)
         m = reachability_matrix(cat, 1)
         assert np.array_equal(m, [[1, 0, 1], [0, 1, 1], [1, 1, 1]])
-        # States 1 and 2 are their own representatives and make no call, state 3's
-        # witness comes from state 1, and the pair (2, 3), whose representatives
-        # differ, is decided by a call of its own.
-        assert calls == [(1, 3), (2, 3)]
+        # States 1 and 2 are their own representatives and make no call, and state 3's
+        # witness comes from state 1. The pair (2, 3), whose representatives differ,
+        # needs no call either: its composed witness W_3 re-checks.
+        assert calls == [(1, 3)]
         assert np.array_equal(m, every_pair_matrix(cat, 1))
+
+    def test_failing_chained_pair_is_decided_by_a_call_of_its_own(self, monkeypatch):
+        cat = self._chain_catalog()
+        calls = recorded_calls(cat, monkeypatch)
+        self._low_matrix_fidelity(monkeypatch, 2, 3)
+        m = reachability_matrix(cat, 1)
+        assert calls == [(1, 3), (2, 3)]
+        assert np.array_equal(m, [[1, 0, 1], [0, 1, 1], [1, 1, 1]])
+
+    def test_failing_pair_of_one_representative_raises(self, monkeypatch):
+        # States 1 and 3 share representative 1, so no call can stand in for the re-check.
+        self._low_matrix_fidelity(monkeypatch, 1, 3)
+        with pytest.raises(ArithmeticError, match=r"^states 1 and 3: composed witness fidelity 0\.5 below"):
+            reachability_matrix(self._chain_catalog(), 1)
+
+    def test_every_catalog_matrix_makes_34_witness_calls(self, monkeypatch):
+        # 6 per ghz qubit, 5, 5 and 0 for phi and 3 per bell qubit: every composed witness re-checks.
+        total = 0
+        for catalog_fn, qubit in CATALOG_QUBITS:
+            cat = catalog_fn()
+            calls = recorded_calls(cat, monkeypatch)
+            reachability_matrix(cat, qubit)
+            total += len(calls)
+        assert total == 34
 
     def test_wrong_witness_fails_the_composed_recheck(self, monkeypatch):
         def pauli_x_off_diagonal(source, target, q):
@@ -486,6 +528,35 @@ class TestReachabilityMatrix:
         m = reachability_matrix(catalog_fn(), qubit)
         off = m[~np.eye(8, dtype=bool)]
         assert not off.all()
+
+
+class TestGramCeiling:
+    """The Gram test forms 2^(n-1) x 2^(n-1) matrices, so it takes at most
+    11 qubits, one more than the dense-operator ceiling, and checks that
+    before it forms any: 512 MiB would be held at 12 qubits."""
+
+    @staticmethod
+    def _peak_mib(call):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"^qubit count for the Gram test must lie in \[1, 11\], got 12$"):
+                call()
+            return tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+
+    def test_twelve_qubit_pair_is_rejected_before_any_gram_matrix(self):
+        zero = basis_state("0" * 12)
+        assert self._peak_mib(lambda: reachable_by_single_qubit(zero, zero, 1)) < 4
+
+    def test_twelve_qubit_catalog_is_rejected_before_any_gram_matrix(self):
+        cat = BasisCatalog("wide", (basis_state("0" * 12), basis_state("1" + "0" * 11)))
+        assert self._peak_mib(lambda: reachability_matrix(cat, 1)) < 4
+
+    def test_eleven_qubit_pair_still_decides(self):
+        source, target = basis_state("0" * 11), basis_state("1" + "0" * 10)
+        assert reachable_by_single_qubit(source, target, 1).reachable
+        assert not reachable_by_single_qubit(source, target, 2).reachable
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from ghzdense.bases import bell_state
+from ghzdense.bases import bell_state, ghz_family
 from ghzdense.encoding import bell_encode, encode
 from ghzdense.protocol import (
     BELL_DECODE_TABLE,
@@ -12,6 +12,7 @@ from ghzdense.protocol import (
     CapacityRow,
     ChannelConfig,
     TrialReport,
+    _decode_distribution,
     bell_measure,
     capacity_summary,
     roundtrip_bell,
@@ -116,6 +117,15 @@ class TestChannelConfig:
     def test_forced_errors_accept_pair_sequences(self):
         cfg = ChannelConfig(forced_errors=[(2, "Y")])
         assert cfg.forced_errors == ((2, "Y"),)
+
+    def test_forced_errors_order_does_not_matter(self):
+        a = ChannelConfig(forced_errors={1: "X", 2: "Z"})
+        b = ChannelConfig(forced_errors={2: "Z", 1: "X"})
+        assert a == b
+        assert hash(a) == hash(b)
+        assert a.forced_errors == ((1, "X"), (2, "Z"))
+        family = ghz_family(3)
+        assert np.array_equal(_decode_distribution(family, a), _decode_distribution(family, b))
 
     def test_frozen(self):
         cfg = ChannelConfig()

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -263,6 +264,24 @@ class TestTensor:
 
     def test_identity_tensor_identity(self):
         assert_allclose(tensor(IDENTITY, IDENTITY).entries, np.eye(4), atol=ATOL)
+
+    def test_product_past_ten_qubits_is_rejected_before_it_is_formed(self):
+        # 5 + 6 qubits would be a 2048 x 2048 matrix, 64 MiB, past the dense-operator ceiling.
+        u, v = haar_random_unitary(32, 0), haar_random_unitary(64, 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"^tensor qubit count must lie in \[2, 10\], got 11$"):
+                tensor(u, v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_ten_qubit_product_is_formed(self):
+        u, v = haar_random_unitary(32, 0), haar_random_unitary(32, 1)
+        got = tensor(u, v)
+        assert got.n_qubits == 10
+        assert np.array_equal(got.entries, np.kron(u.entries, v.entries))
 
 
 # ---------------------------------------------------------------------------

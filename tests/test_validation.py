@@ -62,6 +62,7 @@ from ghzdense.qstate import (
     inner_product,
     load_state,
     measure_computational,
+    tensor,
 )
 
 INT64_MAX = np.iinfo(np.int64).max
@@ -250,6 +251,19 @@ NAMED_REJECTIONS = {
         "expected 'index re im', got '0 1 0 1'",
     ),
     "basis_state('0120')": (lambda: basis_state("0120"), "malformed bit string '0120'"),
+    # Dense matrices stop at 10 qubits wide, the Gram test's at 11 qubits.
+    "reachable_by_single_qubit of 12 qubits": (
+        lambda: reachable_by_single_qubit(basis_state("0" * 12), basis_state("0" * 12), 1),
+        "qubit count for the Gram test must lie in [1, 11], got 12",
+    ),
+    "reachability_matrix of 12 qubits": (
+        lambda: reachability_matrix(BasisCatalog("wide", (basis_state("0" * 12), basis_state("1" * 12))), 1),
+        "qubit count for the Gram test must lie in [1, 11], got 12",
+    ),
+    "tensor of 5 + 6 qubits": (
+        lambda: tensor(haar_random_unitary(32, 0), haar_random_unitary(64, 1)),
+        "tensor qubit count must lie in [2, 10], got 11",
+    ),
 }
 REJECTED.update((name, call) for name, (call, _) in NAMED_REJECTIONS.items())
 
