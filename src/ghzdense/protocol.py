@@ -15,10 +15,10 @@ basis states to basis states, so the decode distribution is exact: it is
 the channel's syndrome distribution, folded from the closed-form
 syndromes of ``ghzmeasure._syndromes`` and relabelled, with no exchange
 (see ``_decode_distribution``). Batches sample from it with one random
-stream per call, seeded by the channel: first the message counts, then
-each message's decoded counts in message order, then the one readout,
-message 1's error-free exchange, which must decode as message 1 with
-certainty.
+stream per call, seeded by the channel: first one multinomial draw of
+the joint (sent, decoded) counts over the pairs that can occur, then the
+one readout, message 1's error-free exchange, which must decode as
+message 1 with certainty.
 
 Both are ``bases.ghz_family(n)``, n=3 and n=2. The label of message m is
 the readout its state gives; :mod:`ghzdense.ghzmeasure` lists the labels
@@ -276,15 +276,6 @@ def _decode_distribution(family: Protocol, channel: ChannelConfig) -> np.ndarray
     return np.array(row)[relabel]
 
 
-@cache
-def _uniform_prior(k: int) -> np.ndarray:
-    """1/k for each of k messages, as a read-only array: numpy's
-    multinomial reads it faster than a list of the same floats."""
-    prior = np.full(k, 1.0 / k)
-    prior.flags.writeable = False
-    return prior
-
-
 def _one_exchange(protocol: str, message: int, channel: ChannelConfig) -> tuple[int, bool]:
     report = run_trials(protocol, 1, channel, message)
     return 1 + report.decoded_histogram.index(1), report.successes == 1
@@ -309,16 +300,18 @@ def run_trials(
     """Run independent round trips and aggregate them.
 
     Messages are drawn uniformly (the capacity-optimal prior) unless
-    ``fixed_message`` pins them all to one value, which changes only the
-    message counts. The decoded messages are drawn from the exact decode
-    distribution, so the cost does not grow with ``trials``. All draws
-    come from one stream seeded by ``channel.rng_seed``: the message counts
-    (one multinomial draw, skipped when a message is pinned), then each
-    message's decoded counts, in message order (a message sent 0 times
-    draws nothing), then one readout of message 1's error-free exchange.
-    That readout checks the network: unless it decodes as message 1 with
-    certainty the call raises ``RuntimeError``. Equal arguments give equal
-    reports.
+    ``fixed_message`` pins them all to one value. Each trial yields one
+    pair (m, j), message m sent and decoded as j, whose exact law is the
+    decode distribution C scaled by the prior: C/k, or row m of C alone
+    when m is pinned. All draws come from one stream seeded by
+    ``channel.rng_seed``: one multinomial draw of ``trials`` over the
+    k x k pairs of nonzero weight, in row-major order, so the cost does
+    not grow with ``trials`` and a pair of probability 0 is never counted,
+    then one readout of message 1's error-free exchange. That readout
+    checks the network: unless it decodes as message 1 with certainty the
+    call raises ``RuntimeError``. The report's histograms and successes
+    are the margins and trace of the joint counts. Equal arguments give
+    equal reports.
     """
     family = _family(protocol)
     trials = _checked(trials, "trials", 1, _MAX_TRIALS)
@@ -326,11 +319,10 @@ def run_trials(
     fixed_message = None if fixed_message is None else _checked(fixed_message, "message index", 1, k)
     dist = _decode_distribution(family, channel)
     rng = _rng(channel.rng_seed)
-    if fixed_message is None:
-        sent = rng.multinomial(trials, _uniform_prior(k))
-    else:
-        sent = trials * np.eye(k, dtype=np.int64)[fixed_message - 1]
-    counts = rng.multinomial(sent, dist)  # row m draws message m's decoded counts
+    weights = dist / k if fixed_message is None else dist * (np.arange(k) == fixed_message - 1)[:, None]
+    support = weights > 0
+    counts = np.zeros((k, k), dtype=np.int64)  # counts[m, j]: message m + 1 sent, decoded as j + 1
+    counts[support] = rng.multinomial(trials, weights[support])
     # Called through the module-level names, so whatever is bound to them
     # (such as the span wrappers of perfbench/tracer.py) runs.
     measure = bell_measure if family is _BELL else ghz_measure
@@ -347,7 +339,7 @@ def run_trials(
         successes=successes,
         success_rate=successes / trials,
         expected_success_rate=float(dist[0, 0]),
-        messages_histogram=tuple(sent.tolist()),
+        messages_histogram=tuple(counts.sum(axis=1).tolist()),
         decoded_histogram=tuple(counts.sum(axis=0).tolist()),
         bits_per_transmitted_qubit=_capacity(family).bits_per_transmitted_qubit,
         seed=channel.rng_seed,

@@ -42,9 +42,10 @@ import numpy as np
 
 ATOL = 1e-12
 MAX_QUBITS = 20  # dense amplitude arrays; 2**20 is the supported ceiling
-# Dense 2^n x 2^n operators the package builds (embed_on_subset,
-# haar_random_unitary, tensor): 16 MB at the ceiling, against 8x8 in the
-# protocols. The Gram test's matrices are this size at one qubit more.
+# Dense 2^n x 2^n operators, given to UnitaryMatrix or built by
+# embed_on_subset, haar_random_unitary and tensor: 16 MB at the ceiling,
+# against 8x8 in the protocols. The Gram test's matrices are this size at
+# one qubit more.
 _MAX_OPERATOR_QUBITS = 10
 _SHOWN_DIGITS = 20  # an error echoes a longer integer by its first and last digits
 _SHOWN_CHARS = 60  # an error echoes longer text by its start; no dump_state line is as long
@@ -222,7 +223,9 @@ class StateVector:
 
 
 class UnitaryMatrix:
-    """Square complex matrix, checked for unitarity at construction time."""
+    """Square complex matrix, checked for unitarity at construction time.
+    Its dimension is 2^n for 1 <= n <= 10 (``_MAX_OPERATOR_QUBITS``),
+    checked before the unitarity product."""
 
     __slots__ = ("_entries",)
 
@@ -230,7 +233,7 @@ class UnitaryMatrix:
         m = _as_finite_complex(entries, "entries")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("entries must form a square matrix")
-        _qubit_count(m.shape[0], "dimension", MAX_QUBITS)
+        _qubit_count(m.shape[0], "dimension", _MAX_OPERATOR_QUBITS)
         defect = float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))
         if defect > ATOL:
             raise ValueError(f"matrix is not unitary (max |U^H U - I| = {defect:.3e})")

@@ -47,6 +47,7 @@ from ghzdense.qstate import (
 from test_protocol import _exhaustive_ghz_rate_at_full_noise
 
 PARTNER = [2, 1, 4, 3, 6, 5, 8, 7]
+INT64_MAX = np.iinfo(np.int64).max
 WILSON_Z = 5.0
 
 
@@ -574,19 +575,97 @@ def test_report_fields():
     assert pinned.successes == 0
 
 
-@pytest.mark.parametrize("fixed", [None, 3])
+@pytest.mark.parametrize("fixed", [3])
 def test_one_stream_draws_message_counts_then_each_row(fixed):
-    """The documented draw order, replayed one row at a time as the reference."""
+    """A pinned message draws what it drew when each message's row was
+    drawn on its own: its row alone, replayed as the reference."""
     channel = ChannelConfig(pauli_error_prob=0.3, rng_seed=17)
     report = run_trials("ghz3", 5_000, channel, fixed_message=fixed)
     rng = np.random.default_rng(17)
-    if fixed is None:
-        sent = rng.multinomial(5_000, [1 / 8] * 8)
-    else:
-        sent = [5_000 if m == fixed else 0 for m in range(1, 9)]
+    sent = [5_000 if m == fixed else 0 for m in range(1, 9)]
     rows = [rng.multinomial(n, row) for n, row in zip(sent, _full_distribution("ghz3", channel))]
     assert report.messages_histogram == tuple(sent)
     assert report.decoded_histogram == tuple(np.sum(rows, axis=0))
+
+
+@pytest.mark.parametrize("name, p", [("ghz3", 0.3), ("ghz3", 1.0), ("bell2", 0.3)])
+@pytest.mark.parametrize("fixed", [None, 3])
+def test_one_stream_draws_the_joint_counts_then_the_readout(monkeypatch, name, p, fixed):
+    """The documented draw order, replayed as the reference: one multinomial
+    over the (sent, decoded) pairs of nonzero weight, C/k or row m of C
+    alone, in row-major order, then the readout on the same stream. At
+    ghz3 and p = 1 some pairs have weight 0."""
+    readout_states = []
+    measure = "ghz_measure" if name == "ghz3" else "bell_measure"
+    real = getattr(protocol, measure)
+    monkeypatch.setattr(
+        protocol, measure, lambda state, rng: readout_states.append(rng.bit_generator.state) or real(state, rng)
+    )
+    channel = ChannelConfig(pauli_error_prob=p, rng_seed=17)
+    report = run_trials(name, 5_000, channel, fixed_message=fixed)
+    dist = _full_distribution(name, channel)
+    k = len(dist)
+    weights = dist / k if fixed is None else np.where(np.arange(k)[:, None] == fixed - 1, dist, 0.0)
+    support = weights > 0
+    rng = np.random.default_rng(17)
+    counts = np.zeros((k, k), dtype=np.int64)
+    counts[support] = rng.multinomial(5_000, weights[support])
+    assert readout_states == [rng.bit_generator.state]
+    assert report.messages_histogram == tuple(counts.sum(axis=1))
+    assert report.decoded_histogram == tuple(counts.sum(axis=0))
+    assert report.successes == counts.trace()
+
+
+# Pinned-message reports as the per-row draw gave them, before the batch
+# became one joint draw: (protocol, p, seed, trials, message) -> (successes,
+# decoded_histogram). A pinned message's draw is its row alone, so they hold.
+PINNED_REPORTS = {
+    ("ghz3", 0.1, 0, 1_000, 1): (833, (833, 54, 31, 32, 24, 22, 2, 2)),
+    ("ghz3", 0.3, 7, 1_000_000, 5): (500420, (79959, 79722, 19761, 20050, 500420, 140110, 79917, 80061)),
+    ("ghz3", 0.9, 3, 7, 8): (1, (0, 1, 2, 1, 0, 1, 1, 1)),
+    ("ghz3", 1.0, 2, 1_000, 4): (114, (114, 119, 0, 114, 213, 205, 117, 118)),
+    ("ghz3", 0.5, 11, 1_000_000, 2): (278590, (166398, 278590, 110526, 111098, 111116, 111447, 55192, 55633)),
+    ("bell2", 0.05, 1, 1_000_000, 2): (950369, (16591, 950369, 16522, 16518)),
+    ("bell2", 0.5, 19, 1_000, 3): (503, (161, 175, 503, 161)),
+    ("bell2", 0.75, 4, 7, 4): (0, (4, 1, 2, 0)),
+}
+
+
+@pytest.mark.parametrize("case", PINNED_REPORTS, ids=lambda case: "-".join(map(str, case)))
+def test_pinned_message_reports_are_the_recorded_ones(case):
+    name, p, seed, trials, message = case
+    report = run_trials(name, trials, ChannelConfig(pauli_error_prob=p, rng_seed=seed), fixed_message=message)
+    assert (report.successes, report.decoded_histogram) == PINNED_REPORTS[case]
+    assert report.messages_histogram[message - 1] == sum(report.messages_histogram) == trials
+
+
+def _impossible_success_channels():
+    """bell2 at p = 1 and every forced pattern whose diagonal is 0, with
+    uniform messages and pinned to the last message."""
+    cases = [("bell2", ChannelConfig(pauli_error_prob=1.0), fixed, "p=1") for fixed in (None, 4)]
+    for name in PROTOCOL_NAMES:
+        family = _family(name)
+        for errors in _patterns(family):
+            channel = ChannelConfig(forced_errors=errors)
+            if _full_distribution(name, channel)[0, 0] == 0:
+                shown = "".join(f"{g}{q}" for q, g in errors)
+                cases += [(name, channel, fixed, shown) for fixed in (None, len(family.catalog))]
+    return [pytest.param(*case[:3], id=f"{case[0]}-{case[3]}-{case[2]}") for case in cases]
+
+
+@pytest.mark.parametrize("name, channel, fixed", _impossible_success_channels())
+def test_a_batch_never_counts_a_pair_of_probability_zero(name, channel, fixed):
+    """At 2^63 - 1 trials numpy's multinomial hands its last category what
+    rounding leaves over; that category is always one of positive weight."""
+    report = run_trials(name, INT64_MAX, channel, fixed_message=fixed)
+    assert report.expected_success_rate == 0.0
+    assert report.successes == 0
+    dist = _full_distribution(name, channel)
+    sent, decoded = report.messages_histogram, report.decoded_histogram
+    assert all(d == 0 for d, column in zip(decoded, dist.T) if not column.any())
+    if fixed is not None:
+        assert all(d == 0 for d, w in zip(decoded, dist[fixed - 1]) if w == 0)
+        assert sent[fixed - 1] == INT64_MAX
 
 
 def test_single_exchange_is_a_one_trial_batch():

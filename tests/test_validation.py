@@ -264,6 +264,7 @@ NAMED_REJECTIONS = {
         lambda: tensor(haar_random_unitary(32, 0), haar_random_unitary(64, 1)),
         "tensor qubit count must lie in [2, 10], got 11",
     ),
+    "UnitaryMatrix of 11 qubits": (lambda: UnitaryMatrix(np.eye(2048)), "dimension must lie in [2, 1024], got 2048"),
 }
 REJECTED.update((name, call) for name, (call, _) in NAMED_REJECTIONS.items())
 
@@ -503,6 +504,8 @@ ACCEPTED = {
         lambda: ChannelConfig(pauli_error_prob=np.float32(0.1)).pauli_error_prob,
         lambda: float(np.float32(0.1)),
     ),
+    # The dense-operator ceiling itself.
+    "UnitaryMatrix of 10 qubits": (lambda: UnitaryMatrix(np.eye(1024)).entries, lambda: np.eye(1024)),
 }
 
 
